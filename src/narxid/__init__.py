@@ -55,7 +55,6 @@ from .terms import (
     Signal,
     Term,
     build_linear_dictionary,
-    evaluate_term,
     expand_dictionary,
     parse_term,
     reduce_dictionary,
@@ -69,7 +68,7 @@ __all__ = [
     # terms
     "Signal", "Factor", "Term", "CONSTANT", "LagSpec", "Dictionary",
     "build_linear_dictionary", "expand_dictionary", "reduce_dictionary",
-    "evaluate_term", "parse_term",
+    "parse_term",
     # regression
     "IoData", "RegressionProblem", "build_problem", "least_squares",
     # ofr

@@ -25,6 +25,7 @@ from .dataio import (
     load_model,
     parse_config_file,
     render_report,
+    write_correlation_csvs,
     write_timeseries_csv,
 )
 from .errors import (
@@ -81,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--max-terms", dest="max_terms", type=int)
     p_id.add_argument("--validation-max-lag", dest="validation_max_lag", type=int)
     p_id.add_argument("--out", dest="output_dir")
-    p_id.add_argument("--seed", type=int)
 
     p_sim = sub.add_parser("simulate", help="free-run a saved model over a data file")
     p_sim.add_argument("--model", required=True)
@@ -129,7 +129,7 @@ def _run_config_from_args(args) -> RunConfig:
             "data", "u_column", "y_column", "train_start", "train_end",
             "n_a", "n_b", "degree", "include_constant", "criterion", "method",
             "max_iterations", "epsilon", "max_terms", "validation_max_lag",
-            "output_dir", "seed",
+            "output_dir",
         )
         if getattr(args, name, None) is not None
     }
@@ -156,7 +156,6 @@ def _cmd_identify(args) -> int:
         epsilon=run.epsilon,
         criterion=run.criterion_enum(),
         max_terms=run.max_terms or None,
-        parallel_paths=run.parallel_paths,
     )
     report = identify(
         train,
@@ -212,13 +211,7 @@ def _cmd_validate(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for test in report.tests:
-        with (out / f"correlation_{test.name}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag", "value", "lower", "upper"])
-            for lag, value in zip(test.lags, test.values):
-                writer.writerow([int(lag), format(value, ".17g"),
-                                 format(-test.bound, ".17g"), format(test.bound, ".17g")])
+    write_correlation_csvs(report, out)
     summary = {
         "passed": report.passed,
         "residual_variance": report.residual_variance,

@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .ofr import Criterion
 from .pipeline import IdentificationReport, ReductionMethod
 from .regression import IoData
-from .simulation import Model
+from .simulation import Model, simulate_free_run
 from .terms import LagSpec, parse_term
 from .validation import ValidationReport
 
@@ -31,6 +31,7 @@ __all__ = [
     "RunConfig",
     "parse_config_file",
     "render_report",
+    "write_correlation_csvs",
     "REPORT_SCHEMA",
     "MODEL_SCHEMA",
 ]
@@ -134,10 +135,8 @@ class RunConfig:
     max_iterations: int = 10
     epsilon: float = 1e-2
     max_terms: int = 0  # 0 means the identifiability default
-    parallel_paths: bool = False
     validation_max_lag: int = 0  # 0 means the default
     output_dir: str = "narxid-out"
-    seed: int = 0
 
     def lag_spec(self) -> LagSpec:
         return LagSpec(self.n_a, self.n_b, self.degree, self.include_constant)
@@ -310,8 +309,6 @@ def render_report(
     model (loadable), measured-vs-simulated plot data, and one CSV per
     correlation test.
     """
-    from .simulation import simulate_free_run
-
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -372,15 +369,22 @@ def render_report(
     written.append(sim_path)
 
     if validation is not None:
-        for test in validation.tests:
-            test_path = out / f"correlation_{test.name}.csv"
-            with test_path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["lag", "value", "lower", "upper"])
-                for lag, value in zip(test.lags, test.values):
-                    writer.writerow(
-                        [int(lag), format(value, ".17g"),
-                         format(-test.bound, ".17g"), format(test.bound, ".17g")]
-                    )
-            written.append(test_path)
+        written += write_correlation_csvs(validation, out)
+    return written
+
+
+def write_correlation_csvs(validation: ValidationReport, out_dir) -> list[Path]:
+    """Write one ``correlation_<name>.csv`` (lag, value, band) per test."""
+    written = []
+    for test in validation.tests:
+        test_path = Path(out_dir) / f"correlation_{test.name}.csv"
+        with test_path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lag", "value", "lower", "upper"])
+            for lag, value in zip(test.lags, test.values):
+                writer.writerow(
+                    [int(lag), format(value, ".17g"),
+                     format(-test.bound, ".17g"), format(test.bound, ".17g")]
+                )
+        written.append(test_path)
     return written

@@ -124,11 +124,12 @@ class IdentificationReport:
 
 def overfit_preselect(
     dictionary: Dictionary, problem: RegressionProblem, size: int
-) -> list[Term]:
+) -> tuple[list[Term], int]:
     """Terms of a deliberately overfit single-path model, as path seeds.
 
     Runs one ERR-driven path with the term cap raised to ``size``; the
     result is a cheap, likely superset-ish sketch of the relevant terms.
+    Returns the terms and the path's candidate-evaluation count.
     """
     if size > len(dictionary):
         raise ConfigError(
@@ -137,7 +138,7 @@ def overfit_preselect(
     path = ofr_select(
         problem, criterion=Criterion.ERR, forced_first=None, max_terms=size
     )
-    return [dictionary[i] for i in path.term_indices]
+    return [dictionary[i] for i in path.term_indices], path.n_evaluated
 
 
 def _overfit_size(n_arx_terms: int, dictionary: Dictionary, problem, cfg: SearchConfig) -> int:
@@ -207,11 +208,9 @@ def identify(
                 size = _overfit_size(
                     arx_model.n_terms, overfit_dict, overfit_problem, cfg
                 )
-                sketch = ofr_select(
-                    overfit_problem, criterion=Criterion.ERR, max_terms=size
+                seeds, narx_evals = overfit_preselect(
+                    overfit_dict, overfit_problem, size
                 )
-                narx_evals += sketch.n_evaluated
-                seeds = [overfit_dict[i] for i in sketch.term_indices]
                 search_dict = (
                     d_reduced if method is ReductionMethod.M3 else d_full
                 )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -57,19 +56,13 @@ class SearchConfig:
     """Knobs for the iterative search.
 
     ``epsilon`` is the stability probe's variance threshold; ``max_terms``
-    of None uses the identifiability default; ``parallel_paths`` runs the
-    per-seed paths of one iteration on a thread pool (results are joined in
-    seed order, so the outcome is identical either way).
+    of None uses the identifiability default.
     """
 
     max_iterations: int = 10
     epsilon: float = 1e-2
     criterion: Criterion = Criterion.PRESS
     max_terms: int | None = None
-    parallel_paths: bool = False
-    stop: StopRule = StopRule()
-    n_sim: int = 1000
-    n_settle: int = 200
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -203,7 +196,7 @@ def _score_entry(
     if not path.steps:
         return None
     model = build_model(dictionary, path, cfg.criterion, data_hash)
-    verdict = stability_probe(model, cfg.epsilon, cfg.n_sim, cfg.n_settle)
+    verdict = stability_probe(model, cfg.epsilon)
     n = problem.n_rows
     k = len(path.steps)
     msse = float("inf")
@@ -255,10 +248,7 @@ def _exact_fit_prune(
     sub = RegressionProblem(
         problem.phi[:, columns],
         problem.target,
-        Dictionary(
-            tuple(problem.dictionary[i] for i in columns),
-            problem.dictionary.origin,
-        ),
+        Dictionary(tuple(problem.dictionary[i] for i in columns)),
         problem.offset,
     )
     seed = path.term_indices[0]
@@ -311,20 +301,15 @@ def iterative_ofr(
         except KeyError as exc:
             raise ConfigError(f"preselect term not in dictionary: {exc}") from None
 
-        def run_path(i: int) -> SelectionPath:
-            return ofr_select(
+        paths = [
+            ofr_select(
                 problem,
                 criterion=cfg.criterion,
                 forced_first=i,
                 max_terms=cfg.max_terms,
-                stop=cfg.stop,
             )
-
-        if cfg.parallel_paths and len(seed_indices) > 1:
-            with ThreadPoolExecutor() as pool_exec:
-                paths = list(pool_exec.map(run_path, seed_indices))
-        else:
-            paths = [run_path(i) for i in seed_indices]
+            for i in seed_indices
+        ]
 
         iteration_best: PoolEntry | None = None
         iteration_best_key: tuple | None = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -26,12 +26,10 @@ __all__ = [
     "Term",
     "CONSTANT",
     "LagSpec",
-    "DictionaryOrigin",
     "Dictionary",
     "build_linear_dictionary",
     "expand_dictionary",
     "reduce_dictionary",
-    "evaluate_term",
     "parse_term",
 ]
 
@@ -172,12 +170,6 @@ class LagSpec:
         return max(self.n_a, self.n_b)
 
 
-class DictionaryOrigin(Enum):
-    LINEAR = "linear"
-    FULL_EXPANSION = "full"
-    REDUCED = "reduced"
-
-
 @dataclass(frozen=True)
 class Dictionary:
     """Ordered, duplicate-free collection of candidate terms.
@@ -189,7 +181,6 @@ class Dictionary:
     """
 
     terms: tuple[Term, ...]
-    origin: DictionaryOrigin
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,18 +239,7 @@ def build_linear_dictionary(spec: LagSpec) -> Dictionary:
     terms = _linear_terms(spec.n_a, spec.n_b)
     if spec.include_constant:
         terms.append(CONSTANT)
-    return Dictionary(tuple(terms), DictionaryOrigin.LINEAR)
-
-
-def _expand(variables: Sequence[Term], degree: int) -> list[Term]:
-    # variables are degree-1 terms; monomials are generated degree by degree
-    # in combinations_with_replacement order, which matches sort_key order.
-    out: list[Term] = []
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(variables, d):
-            factors = [f for t in combo for f in t.factors]
-            out.append(Term.of(*factors))
-    return out
+    return Dictionary(tuple(terms))
 
 
 def expand_dictionary(
@@ -279,10 +259,16 @@ def expand_dictionary(
     if not variables:
         raise ConfigError("expansion base has no variables")
     variables = sorted(variables, key=Term.sort_key)
-    terms = _expand(variables, degree)
+    # monomials are generated degree by degree in combinations_with_replacement
+    # order, which matches sort_key order.
+    terms: list[Term] = []
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(variables, d):
+            factors = [f for t in combo for f in t.factors]
+            terms.append(Term.of(*factors))
     if include_constant:
         terms.append(CONSTANT)
-    return Dictionary(tuple(terms), DictionaryOrigin.FULL_EXPANSION)
+    return Dictionary(tuple(terms))
 
 
 def reduce_dictionary(
@@ -294,32 +280,7 @@ def reduce_dictionary(
     subset of the linear dictionary.  Raises if no degree-1 terms are given
     (a linear stage that selected nothing cannot seed a reduction).
     """
-    variables = [t for t in arx_terms if not t.is_constant]
+    variables = {t for t in arx_terms if not t.is_constant}
     if not variables:
         raise ConfigError("cannot reduce dictionary: linear model has no lagged terms")
-    if any(t.degree != 1 for t in variables):
-        raise ConfigError("reduction base must contain only degree-1 terms")
-    variables = sorted(set(variables), key=Term.sort_key)
-    terms = _expand(variables, degree)
-    if include_constant:
-        terms.append(CONSTANT)
-    return Dictionary(tuple(terms), DictionaryOrigin.REDUCED)
-
-
-def evaluate_term(term: Term, y_hist, u_hist, t: int) -> float:
-    """Value of ``term`` at time index ``t`` given sample histories.
-
-    ``y_hist`` and ``u_hist`` are indexable windows aligned so that
-    ``y_hist[t - lag]`` is the lagged output sample.  Raises ``IndexError``
-    when a referenced lag falls outside the provided history.
-    """
-    value = 1.0
-    for f in term.factors:
-        idx = t - f.lag
-        if idx < 0:
-            raise IndexError(
-                f"term {term} needs sample at index {idx}; history starts at 0"
-            )
-        hist = y_hist if f.signal is Signal.OUTPUT else u_hist
-        value *= float(hist[idx]) ** f.exponent
-    return value
+    return expand_dictionary(variables, degree, include_constant)

@@ -188,12 +188,9 @@ def test_criterion_4_press_oracle():
             phi = rng.normal(size=(L, m))
             target = rng.normal(size=L)
             from narxid.regression import RegressionProblem
-            from narxid.terms import Dictionary, DictionaryOrigin
+            from narxid.terms import Dictionary
 
-            d = Dictionary(
-                tuple(parse_term(f"u(t-{i+1})") for i in range(m)),
-                DictionaryOrigin.LINEAR,
-            )
+            d = Dictionary(tuple(parse_term(f"u(t-{i+1})") for i in range(m)))
             problem = RegressionProblem(phi, target, d, 0)
             path = ofr_select(
                 problem, Criterion.PRESS, max_terms=min(k_max, L // 3),

@@ -95,6 +95,11 @@ class TestIdentify:
         code = main(["identify", "--data", str(bench_csv), "--bogus"])
         assert code == 2
 
+    def test_seed_flag_exits_2(self, bench_csv, capsys):
+        # nothing in identify is random, so it takes no seed
+        code = main(["identify", "--data", str(bench_csv), "--seed", "1"])
+        assert code == 2
+
     def test_flag_overrides_config(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)
         out2 = tmp_path / "out2"
@@ -145,6 +150,23 @@ class TestSimulateAndValidate:
         assert set(summary["tests"]) == {
             "phi_ee", "phi_ue", "phi_e_eu", "phi_u2e", "phi_u2e2"
         }
+
+    def test_validate_matches_identify_correlations(self, tmp_path, bench_csv):
+        # identify on the whole record validates on the same residuals that
+        # validate computes from the saved model
+        ident = tmp_path / "ident"
+        cfg = write_config(tmp_path, bench_csv, train_end=0)
+        assert main(["identify", "--config", str(cfg), "--out", str(ident)]) == 0
+        val = tmp_path / "val"
+        assert main([
+            "validate", "--model", str(ident / "model.json"),
+            "--data", str(bench_csv), "--out", str(val),
+        ]) == 0
+        names = sorted(p.name for p in ident.glob("correlation_*.csv"))
+        assert len(names) == 5
+        assert names == sorted(p.name for p in val.glob("correlation_*.csv"))
+        for name in names:
+            assert (ident / name).read_bytes() == (val / name).read_bytes()
 
     def test_loaded_model_matches_report(self, model_path):
         model = load_model(model_path)

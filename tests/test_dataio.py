@@ -128,9 +128,10 @@ class TestRunConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("no_such_knob = 1\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_file(p)
+        for key in ("no_such_knob", "seed", "parallel_paths"):
+            p.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_file(p)
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -25,12 +25,12 @@ from narxid import (
     press_of,
 )
 from narxid.regression import RegressionProblem
-from narxid.terms import Dictionary, DictionaryOrigin, parse_term
+from narxid.terms import Dictionary, parse_term
 
 
 def fake_problem(phi, target):
     names = [f"u(t-{i+1})" for i in range(phi.shape[1])]
-    d = Dictionary(tuple(parse_term(n) for n in names), DictionaryOrigin.LINEAR)
+    d = Dictionary(tuple(parse_term(n) for n in names))
     return RegressionProblem(np.asarray(phi, float), np.asarray(target, float), d, 0)
 
 

@@ -55,15 +55,16 @@ class TestOverfitPreselect:
             build_linear_dictionary(LagSpec(2, 2, include_constant=False)), 2
         )
         problem = build_problem(data, d)
-        seeds = overfit_preselect(d, problem, 1)
+        seeds, n_evaluated = overfit_preselect(d, problem, 1)
         assert len(seeds) == 1
+        assert n_evaluated == len(d)  # one step scores every candidate
         assert str(seeds[0]) == "y(t-1)"  # dominant ERR term for this system
 
     def test_full_size_on_tiny_dictionary(self):
         data = white_noise_benchmark(train=100)
         d = build_linear_dictionary(LagSpec(2, 2, include_constant=False))
         problem = build_problem(data, d)
-        seeds = overfit_preselect(d, problem, len(d))
+        seeds, _ = overfit_preselect(d, problem, len(d))
         assert set(seeds) <= set(d.terms)
         assert len(seeds) >= 2
 
@@ -83,7 +84,7 @@ class TestOverfitPreselect:
         )
         with pytest.warns(UserWarning, match="usable rows"):
             problem = build_problem(data, d)
-        seeds = overfit_preselect(d, problem, 15)
+        seeds, _ = overfit_preselect(d, problem, 15)
         assert len(TRUE_TERMS & set(seeds)) >= 5
 
 

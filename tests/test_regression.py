@@ -17,13 +17,11 @@ from narxid import (
     least_squares,
     parse_term,
 )
-from narxid.terms import Dictionary, DictionaryOrigin
+from narxid.terms import Dictionary
 
 
 def small_dictionary(*term_strings):
-    return Dictionary(
-        tuple(parse_term(s) for s in term_strings), DictionaryOrigin.LINEAR
-    )
+    return Dictionary(tuple(parse_term(s) for s in term_strings))
 
 
 class TestIoData:

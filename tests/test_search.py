@@ -77,11 +77,11 @@ class TestIterativeOfr:
     def test_exact_dictionary_recovers_everything(self):
         # dictionary containing exactly the true terms: one iteration must
         # select all of them with near-exact coefficients
-        from narxid.terms import Dictionary, DictionaryOrigin
+        from narxid.terms import Dictionary
 
         data = benchmark_data(train=120)
         true_terms, true_coefs = dc_motor_terms()
-        d = Dictionary(true_terms, DictionaryOrigin.FULL_EXPANSION)
+        d = Dictionary(true_terms)
         result = iterative_ofr(d, None, data, SearchConfig())
         model = result.model
         assert set(model.terms) == set(true_terms)
@@ -102,7 +102,7 @@ class TestIterativeOfr:
         data = benchmark_data(train=150)
         base = build_linear_dictionary(LagSpec(2, 2, include_constant=False))
         d = expand_dictionary(base, 2)
-        small = type(d)(d.terms[:10], d.origin)
+        small = type(d)(d.terms[:10])
         cfg = SearchConfig(max_iterations=1)
         # exhaustive: every single-path run, scored identically
         exhaustive = iterative_ofr(small, list(small.terms), data, cfg)
@@ -134,15 +134,6 @@ class TestIterativeOfr:
         pool = exc_info.value.pool
         assert len(pool) >= 1
         assert all(not e.verdict.stable for e in pool)
-
-    def test_parallel_paths_match_serial(self):
-        data = benchmark_data(train=100)
-        d = full_dictionary()
-        serial = iterative_ofr(d, None, data, SearchConfig(parallel_paths=False))
-        parallel = iterative_ofr(d, None, data, SearchConfig(parallel_paths=True))
-        assert serial.model.terms == parallel.model.terms
-        assert_allclose(serial.model.coefficients, parallel.model.coefficients)
-        assert serial.best.bic == parallel.best.bic
 
     def test_model_terms_subset_of_dictionary(self):
         data = benchmark_data(train=100)

@@ -15,7 +15,6 @@ from narxid import (
     Signal,
     Term,
     build_linear_dictionary,
-    evaluate_term,
     expand_dictionary,
     parse_term,
     reduce_dictionary,
@@ -105,7 +104,7 @@ class TestLinearDictionary:
     def test_no_duplicates_enforced(self):
         t = Term.of(Factor(Signal.OUTPUT, 1))
         with pytest.raises(ConfigError):
-            Dictionary((t, t), origin=None)
+            Dictionary((t, t))
 
 
 class TestExpandDictionary:
@@ -191,24 +190,3 @@ class TestReduceDictionary:
         reduced = reduce_dictionary(subset, degree)
         full = expand_dictionary(base, degree)
         assert set(reduced.strings()) <= set(full.strings())
-
-
-class TestEvaluateTerm:
-    def test_mixed_powers(self):
-        term = parse_term("y(t-2)^2*u(t-1)^3")
-        y = [0.0, 2.0, 0.0]
-        u = [0.0, 0.0, 3.0]
-        # t=3: y(t-2) = y[1] = 2, u(t-1) = u[2] = 3
-        assert evaluate_term(term, y, u, 3) == pytest.approx(4 * 27)
-
-    def test_constant_is_one(self):
-        assert evaluate_term(CONSTANT, [], [], 0) == 1.0
-
-    def test_single_factor(self):
-        term = parse_term("y(t-1)")
-        assert evaluate_term(term, [-0.5], [0.0], 1) == -0.5
-
-    def test_out_of_range(self):
-        term = parse_term("y(t-2)")
-        with pytest.raises(IndexError):
-            evaluate_term(term, [1.0], [1.0], 1)
