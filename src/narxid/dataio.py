@@ -102,17 +102,24 @@ def load_model(path) -> Model:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid model JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: model JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != MODEL_SCHEMA:
         raise DataError(f"{path}: unsupported model schema {doc.get('schema')!r}")
-    terms = tuple(parse_term(s) for s in doc["terms"])
-    coefficients = tuple(float(c) for c in doc["coefficients"])
-    spec = None
-    if doc.get("lag_spec"):
-        ls = doc["lag_spec"]
-        spec = LagSpec(ls["n_a"], ls["n_b"], ls["degree"], ls["include_constant"])
+    try:
+        terms = tuple(parse_term(s) for s in doc["terms"])
+        coefficients = tuple(float(c) for c in doc["coefficients"])
+        bias = float(doc.get("bias", 0.0))
+        spec = None
+        if doc.get("lag_spec"):
+            ls = doc["lag_spec"]
+            spec = LagSpec(ls["n_a"], ls["n_b"], ls["degree"], ls["include_constant"])
+    except KeyError as exc:
+        raise DataError(f"{path}: model JSON has no key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed model JSON: {exc}") from None
     return Model(
-        terms, coefficients, bias=float(doc.get("bias", 0.0)), lag_spec=spec,
-        provenance=doc.get("provenance"),
+        terms, coefficients, bias=bias, lag_spec=spec, provenance=doc.get("provenance"),
     )
 
 

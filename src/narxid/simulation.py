@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -121,13 +121,21 @@ class StabilityVerdict:
     bias_mean_ok: bool = True
 
 
-def _term_evaluators(terms: Sequence[Term]):
-    # pre-extract (is_output, lag, exponent) per factor to keep the
-    # recursion loop lean
-    return [
-        [(f.signal is Signal.OUTPUT, f.lag, f.exponent) for f in t.factors]
-        for t in terms
-    ]
+def _constant_tail_start(u: np.ndarray) -> int:
+    """Index from which ``u`` repeats its last value bit for bit (0 if empty)."""
+    bits = u.view(np.int64)
+    changes = np.flatnonzero(bits[1:] != bits[:-1])
+    return int(changes[-1]) + 1 if changes.size else 0
+
+
+def _is_fixed_point(y: list, n: int) -> bool:
+    """True when the last ``n + 1`` values of ``y`` are one float, bit for bit."""
+    window = y[-n - 1:]
+    v = window[-1]
+    if any(x != v for x in window):
+        return False
+    # 0.0 == -0.0, but the sign of a zero can reach later samples
+    return v != 0.0 or all(math.copysign(1.0, x) == math.copysign(1.0, v) for x in window)
 
 
 def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
@@ -138,36 +146,57 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     outputs and the supplied inputs.  Divergence (non-finite value or
     magnitude beyond ``DIVERGENCE_LIMIT``) stops the recursion and is
     reported in the result rather than raised.
+
+    Once every input lag reads the constant tail of ``u`` and the newest
+    sample equals the ``model.max_output_lag`` before it bit for bit, each
+    later step would compute the same value from the same operands, so the
+    rest of the output is filled with it.
     """
     u = np.asarray(u, dtype=float)
-    n_init = model.max_output_lag
+    n_init, n_in = model.max_output_lag, model.max_input_lag
     y_init = np.asarray(y_init, dtype=float)
     if len(y_init) != n_init:
         raise InsufficientDataError(
             f"model needs {n_init} initial output samples, got {len(y_init)}"
         )
-    if len(u) < max(n_init, model.max_input_lag):
+    if len(u) < max(n_init, n_in):
         raise InsufficientDataError("input record shorter than the model's lags")
 
-    out = np.full(len(u), np.nan)
-    out[:n_init] = y_init
-    evaluators = _term_evaluators(model.terms)
-    coefficients = model.coefficients
-    bias = model.bias
-    start = max(n_init, model.max_input_lag)
-    out[n_init:start] = 0.0
-    for t in range(start, len(u)):
-        v = bias
-        for coef, factors in zip(coefficients, evaluators):
-            p = 1.0
-            for is_y, lag, exp in factors:
-                x = out[t - lag] if is_y else u[t - lag]
-                p *= x**exp if exp > 1 else x
-            v += coef * p
-        if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
-            return FreeRunResult(out, diverged_at=t)
-        out[t] = v
-    return FreeRunResult(out)
+    # The recursion runs on Python floats: same IEEE arithmetic as numpy
+    # scalars (and ** calls the same libm pow), at a fraction of the cost.
+    us = u.tolist()
+    start = max(n_init, n_in)
+    y = y_init.tolist() + [0.0] * (start - n_init)
+    # per term: its coefficient and (samples, lag, exponent) per factor,
+    # where samples is the list the factor reads (y grows in place)
+    terms = [
+        (coef, [(y if f.signal is Signal.OUTPUT else us, f.lag, f.exponent) for f in term.factors])
+        for coef, term in zip(model.coefficients, model.terms)
+    ]
+    bias = float(model.bias)
+    settle = max(start, _constant_tail_start(u) + n_in)  # inputs all in the tail
+    fill = math.nan
+    try:
+        for t in range(start, len(us)):
+            v = bias
+            for coef, factors in terms:
+                p = 1.0
+                for samples, lag, exp in factors:
+                    x = samples[t - lag]
+                    p *= x**exp if exp > 1 else x
+                v += coef * p
+            if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
+                break
+            y.append(v)
+            if t >= settle and v == y[t - 1] and _is_fixed_point(y, n_init):
+                fill = v
+                break
+    except OverflowError:
+        pass  # float ** overflowed: that sample is infinite, a divergence
+    out = np.full(len(us), fill)
+    out[: len(y)] = y
+    diverged_at = len(y) if len(y) < len(us) and math.isnan(fill) else None
+    return FreeRunResult(out, diverged_at=diverged_at)
 
 
 def predict_one_step(model: Model, data: IoData) -> np.ndarray:

@@ -139,6 +139,31 @@ class TestSimulateAndValidate:
         ])
         assert code == 3
 
+    def test_malformed_model_exits_3(self, tmp_path, bench_csv, capsys):
+        good = {
+            "schema": "narxid-model/1",
+            "terms": ["y(t-1)", "u(t-1)"],
+            "coefficients": ["0.5", "1"],
+            "bias": "0",
+            "lag_spec": {"n_a": 2, "n_b": 2, "degree": 2, "include_constant": False},
+        }
+        no_terms = {k: v for k, v in good.items() if k != "terms"}
+        no_n_b = dict(good, lag_spec={"n_a": 2, "degree": 2, "include_constant": False})
+        path = tmp_path / "m.json"
+
+        def simulate(doc):
+            path.write_text(json.dumps(doc))
+            return main([
+                "simulate", "--model", str(path),
+                "--data", str(bench_csv), "--out", str(tmp_path / "sim.csv"),
+            ])
+
+        assert simulate(good) == 0
+        for doc in (no_terms, no_n_b, [good]):
+            capsys.readouterr()
+            assert simulate(doc) == 3
+            assert "m.json" in capsys.readouterr().err
+
     def test_validate_writes_artifacts(self, tmp_path, bench_csv, model_path):
         out = tmp_path / "val"
         code = main([

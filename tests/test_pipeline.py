@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narxid import (
     ConfigError,
@@ -231,3 +233,20 @@ class TestFirEdge:
         assert report.chosen == "ARX"
         assert set(model.term_strings()) == {"u(t-1)", "u(t-2)"}
         assert model.max_output_lag == 0
+
+
+class TestOutputScaling:
+    @settings(max_examples=10, deadline=None)
+    @given(x=st.floats(-3, 3))
+    def test_term_set_invariant_to_output_scale(self, x):
+        # ERR, PRESS and the rank tolerance depend only on column spans, and
+        # BIC shifts by a constant, so scaling y must not change the choice.
+        # The probe's epsilon is an absolute variance, but on this record
+        # every candidate's probe variance is below 1e-25, far from it at
+        # any of these scales.  White noise, not a 0/1 PRBS: there u(t-2)
+        # and u(t-2)^2 are one column, an exact tie.
+        data = white_noise_benchmark()
+        spec = LagSpec(2, 2, 2, include_constant=False)
+        scaled = IoData(data.u, data.y * 10**x)
+        expected = set(identify(data, spec).chosen_model.terms)
+        assert set(identify(scaled, spec).chosen_model.terms) == expected

@@ -1,5 +1,7 @@
 """Free-run simulation, one-step prediction, and the stability probe."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from narxid import (
     IoData,
     LagSpec,
     Model,
+    Signal,
     build_linear_dictionary,
     build_problem,
     dc_motor_reference,
@@ -23,6 +26,7 @@ from narxid import (
     stability_probe,
 )
 from narxid.search import build_model
+from narxid.simulation import DIVERGENCE_LIMIT
 
 
 def linear_model(a=0.5, b=1.0):
@@ -88,6 +92,105 @@ class TestSimulateFreeRun:
         m = Model((), (), bias=0.7)
         run = simulate_free_run(m, np.zeros(5), [])
         assert_allclose(run.output, 0.7)
+
+
+def reference_free_run(model, u, y_init):
+    """The plain free-run recursion: numpy float64 scalars, every sample.
+
+    Returns ``(output, diverged_at)``; ``simulate_free_run`` must agree with
+    it bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    n_init = model.max_output_lag
+    out = np.full(len(u), np.nan)
+    out[:n_init] = y_init
+    evaluators = [
+        [(f.signal is Signal.OUTPUT, f.lag, f.exponent) for f in t.factors]
+        for t in model.terms
+    ]
+    start = max(n_init, model.max_input_lag)
+    out[n_init:start] = 0.0
+    with np.errstate(all="ignore"):
+        for t in range(start, len(u)):
+            v = model.bias
+            for coef, factors in zip(model.coefficients, evaluators):
+                p = 1.0
+                for is_y, lag, exp in factors:
+                    x = out[t - lag] if is_y else u[t - lag]
+                    p *= x**exp if exp > 1 else x
+                v += coef * p
+            if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
+                return out, t
+            out[t] = v
+    return out, None
+
+
+def assert_matches_reference(model, u, y_init):
+    run = simulate_free_run(model, u, y_init)
+    ref_out, ref_diverged_at = reference_free_run(model, u, y_init)
+    assert run.diverged_at == ref_diverged_at
+    np.testing.assert_array_equal(run.output.view(np.int64), ref_out.view(np.int64))
+    return run
+
+
+def random_model(rng):
+    n_a, n_b = 0, 0
+    while n_a + n_b == 0:
+        n_a, n_b = (int(k) for k in rng.integers(0, 5, size=2))
+    degree = int(rng.integers(1, 4))
+    d = expand_dictionary(build_linear_dictionary(LagSpec(n_a, n_b)), degree)
+    picks = rng.choice(len(d), size=min(len(d), int(rng.integers(1, 7))), replace=False)
+    scale = rng.choice([0.2, 0.5, 1.5])
+    coefficients = rng.normal(scale=scale, size=len(picks))
+    bias = 0.0 if rng.random() < 0.5 else float(rng.normal())
+    return Model(tuple(d[int(i)] for i in sorted(picks)), tuple(coefficients), bias=bias)
+
+
+class TestFreeRunMatchesReference:
+    def test_random_models_bit_for_bit(self):
+        rng = np.random.default_rng(20240)
+        n, tail = 600, 300
+        settled = diverged = 0
+        for _ in range(400):
+            model = random_model(rng)
+            noise = rng.normal(size=n)
+            turns_constant = noise.copy()
+            turns_constant[tail:] = noise[tail]
+            y_rand = rng.normal(size=model.max_output_lag)
+            y_zero = np.zeros(model.max_output_lag)
+            for u, y_init in (
+                (np.zeros(n), y_zero),
+                (np.ones(n), y_zero),
+                (noise, y_rand),
+                (turns_constant, y_rand),
+            ):
+                run = assert_matches_reference(model, u, y_init)
+                diverged += run.diverged
+                settled += (not run.diverged) and len(set(run.output[-100:])) == 1
+        # both the divergence guard and the fixed-point exit are exercised
+        assert diverged >= 100
+        assert settled >= 400
+
+    def test_no_early_exit_before_the_input_tail(self):
+        # y(t) = 0.5 y(t-1) + u(t-1): the output sits at 0 while u is 0, a
+        # fixed point of the recursion but not of the record
+        u = np.zeros(1000)
+        u[500:] = 1.0
+        run = assert_matches_reference(linear_model(0.5, 1.0), u, [0.0])
+        assert not np.any(run.output[:501])
+        assert run.output[501] == 1.0
+        assert run.output[-1] == pytest.approx(2.0)
+
+    def test_signed_zero_cycle_is_not_a_fixed_point(self):
+        # with bias -0.0, y(t) = -y(t-1) alternates 0.0 and -0.0
+        m = Model((parse_term("y(t-1)"),), (-1.0,), bias=-0.0)
+        run = assert_matches_reference(m, np.zeros(50), [0.0])
+        assert np.signbit(run.output[1]) and not np.signbit(run.output[2])
+
+    def test_power_overflow_is_divergence(self):
+        m = Model((parse_term("u(t-1)^2"),), (1.0,))
+        run = assert_matches_reference(m, np.full(10, 1e200), [])
+        assert run.diverged_at == 1
 
 
 class TestPredictOneStep:
