@@ -114,13 +114,14 @@ def load_model(path) -> Model:
         if doc.get("lag_spec"):
             ls = doc["lag_spec"]
             spec = LagSpec(ls["n_a"], ls["n_b"], ls["degree"], ls["include_constant"])
+        return Model(
+            terms, coefficients, bias=bias, lag_spec=spec,
+            provenance=doc.get("provenance"),
+        )
     except KeyError as exc:
         raise DataError(f"{path}: model JSON has no key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (ConfigError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed model JSON: {exc}") from None
-    return Model(
-        terms, coefficients, bias=bias, lag_spec=spec, provenance=doc.get("provenance"),
-    )
 
 
 @dataclass

@@ -16,6 +16,13 @@ exact.  A path can still end numerically exact while carrying a term that
 helped when it was selected and that later terms made redundant; when an
 iteration's winner fits to within that floor, such terms are pruned and the
 reduced model competes as one more candidate.
+
+A path is a pure function of the problem and its forced first term, and so
+are its model, probe verdict and score; a pruned path is a function of the
+winner path it came from.  Each is therefore computed, probed and pooled
+once per search: a later iteration that seeds a term again only re-ranks
+the candidate it already has (Guo, Guo, Billings & Wei, "An iterative
+orthogonal forward regression algorithm", Int. J. Systems Science 2015).
 """
 
 from __future__ import annotations
@@ -55,8 +62,10 @@ MSSE_FLOOR_REL = 1e-24
 class SearchConfig:
     """Knobs for the iterative search.
 
-    ``epsilon`` is the stability probe's variance threshold; ``max_terms``
-    of None uses the identifiability default.
+    ``epsilon`` is the stability probe's variance threshold, an absolute
+    variance in output units: scaling ``y`` by ``c`` scales the probe
+    variances by ``c**2`` and leaves ``epsilon`` as it is.  ``max_terms`` of
+    None uses the identifiability default.
     """
 
     max_iterations: int = 10
@@ -80,7 +89,6 @@ class PoolEntry:
     verdict: StabilityVerdict
     msse: float
     bic: float
-    iteration: int = 0
     path: SelectionPath | None = field(default=None, compare=False)
 
     @property
@@ -189,7 +197,6 @@ def _score_entry(
     data: IoData,
     problem: RegressionProblem,
     cfg: SearchConfig,
-    iteration: int,
     msse_floor: float,
     data_hash: str,
 ) -> PoolEntry | None:
@@ -208,7 +215,7 @@ def _score_entry(
             msse = float(np.mean(err**2))
             if n > k:
                 bic = bic_of(max(msse, msse_floor), n, k)
-    return PoolEntry(model, seed_term, verdict, msse, bic, iteration, path)
+    return PoolEntry(model, seed_term, verdict, msse, bic, path)
 
 
 def _exact_fit_prune(
@@ -287,12 +294,26 @@ def iterative_ofr(
     seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
     seen_sets: set[frozenset[Term]] = set()
     pool = ModelPool()
+    # forced-first index -> its entry (None: empty path); winner path ->
+    # its pruned entry (None: nothing to prune)
+    scored: dict[int, PoolEntry | None] = {}
+    pruned_of: dict[tuple[int, ...], PoolEntry | None] = {}
     incumbent: PoolEntry | None = None
     incumbent_key: tuple | None = None
     n_evaluations = 0
     iteration_bics: list[float] = []
     converged = False
     iterations = 0
+
+    def score(path: SelectionPath, seed_term: Term) -> PoolEntry | None:
+        nonlocal n_evaluations
+        n_evaluations += path.n_evaluated
+        entry = _score_entry(
+            dictionary, path, seed_term, data, problem, cfg, msse_floor, data_hash
+        )
+        if entry is not None:
+            pool.entries.append(entry)
+        return entry
 
     for iteration in range(cfg.max_iterations):
         iterations = iteration + 1
@@ -301,28 +322,21 @@ def iterative_ofr(
         except KeyError as exc:
             raise ConfigError(f"preselect term not in dictionary: {exc}") from None
 
-        paths = [
-            ofr_select(
-                problem,
-                criterion=cfg.criterion,
-                forced_first=i,
-                max_terms=cfg.max_terms,
-            )
-            for i in seed_indices
-        ]
-
         iteration_best: PoolEntry | None = None
         iteration_best_key: tuple | None = None
-        for order, (seed, path) in enumerate(zip(seeds, paths)):
-            n_evaluations += path.n_evaluated
-            entry = _score_entry(
-                dictionary, path, seed, data, problem, cfg, iteration,
-                msse_floor, data_hash,
-            )
-            if entry is None:
-                continue
-            pool.entries.append(entry)
-            if not entry.selectable:
+        for order, (seed, index) in enumerate(zip(seeds, seed_indices)):
+            if index not in scored:
+                scored[index] = score(
+                    ofr_select(
+                        problem,
+                        criterion=cfg.criterion,
+                        forced_first=index,
+                        max_terms=cfg.max_terms,
+                    ),
+                    seed,
+                )
+            entry = scored[index]
+            if entry is None or not entry.selectable:
                 continue
             key = (entry.bic, entry.model.n_terms, order)
             if iteration_best_key is None or key < iteration_best_key:
@@ -333,22 +347,24 @@ def iterative_ofr(
             break
 
         if iteration_best.msse <= msse_floor:
-            pruned = _exact_fit_prune(
-                problem, iteration_best.path, cfg.criterion, msse_floor
-            )
-            if pruned is not None:
-                n_evaluations += pruned.n_evaluated
-                entry = _score_entry(
-                    dictionary, pruned, iteration_best.seed_term, data,
-                    problem, cfg, iteration, msse_floor, data_hash,
+            winner = iteration_best.path.term_indices
+            if winner not in pruned_of:
+                pruned = _exact_fit_prune(
+                    problem, iteration_best.path, cfg.criterion, msse_floor
                 )
-                if entry is not None:
-                    pool.entries.append(entry)
-                    if entry.selectable and entry.bic <= iteration_best.bic:
-                        iteration_best = entry
-                        iteration_best_key = (
-                            entry.bic, entry.model.n_terms, iteration_best_key[2]
-                        )
+                pruned_of[winner] = (
+                    None if pruned is None else score(pruned, iteration_best.seed_term)
+                )
+            entry = pruned_of[winner]
+            if (
+                entry is not None
+                and entry.selectable
+                and entry.bic <= iteration_best.bic
+            ):
+                iteration_best = entry
+                iteration_best_key = (
+                    entry.bic, entry.model.n_terms, iteration_best_key[2]
+                )
 
         iteration_bics.append(iteration_best.bic)
         if incumbent_key is None or iteration_best_key[:2] < incumbent_key[:2]:

@@ -149,6 +149,9 @@ class TestSimulateAndValidate:
         }
         no_terms = {k: v for k, v in good.items() if k != "terms"}
         no_n_b = dict(good, lag_spec={"n_a": 2, "degree": 2, "include_constant": False})
+        bad_term = dict(good, terms=["q(t-1)"], coefficients=["1"])
+        short_coefficients = dict(good, coefficients=["0.5"])
+        beyond_lags = dict(good, terms=["y(t-3)", "u(t-1)"])
         path = tmp_path / "m.json"
 
         def simulate(doc):
@@ -159,7 +162,9 @@ class TestSimulateAndValidate:
             ])
 
         assert simulate(good) == 0
-        for doc in (no_terms, no_n_b, [good]):
+        for doc in (
+            no_terms, no_n_b, [good], bad_term, short_coefficients, beyond_lags
+        ):
             capsys.readouterr()
             assert simulate(doc) == 3
             assert "m.json" in capsys.readouterr().err

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import narxid.search
 from narxid import (
+    Criterion,
     IdentificationError,
     IoData,
     LagSpec,
+    ModelPool,
     Multitone,
+    Prbs,
     SearchConfig,
+    SearchResult,
     bic_of,
     build_linear_dictionary,
     build_problem,
@@ -19,9 +24,17 @@ from narxid import (
     generate_signal,
     iterative_ofr,
     least_squares,
+    ofr_select,
     simulate_free_run,
+    stability_probe,
 )
-from narxid.search import MSSE_FLOOR_REL
+from narxid.errors import ConfigError
+from narxid.search import (
+    MSSE_FLOOR_REL,
+    _exact_fit_prune,
+    _score_entry,
+    data_fingerprint,
+)
 
 
 def benchmark_data(n=300, seed=332, train=None):
@@ -208,3 +221,199 @@ class TestExactFitPruning:
         floor = MSSE_FLOOR_REL * np.mean(noisy.y[2:] ** 2)
         assert result.best.msse > floor
         assert not any(pruned(e) for e in result.pool)
+
+
+def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
+    """The search loop without reuse: every seed's path, probe and free run
+    are computed again in every iteration that seeds it, and every result is
+    pooled.  ``iterative_ofr`` must choose exactly what this loop chooses.
+    """
+    problem = build_problem(data, dictionary)
+    data_hash = data_fingerprint(data)
+    msse_floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+    seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
+    seen_sets = set()
+    pool = ModelPool()
+    incumbent = incumbent_key = None
+    n_evaluations = 0
+    iteration_bics = []
+    converged = False
+    iterations = 0
+
+    for iteration in range(cfg.max_iterations):
+        iterations = iteration + 1
+        try:
+            seed_indices = [dictionary.index(t) for t in seeds]
+        except KeyError as exc:
+            raise ConfigError(f"preselect term not in dictionary: {exc}") from None
+
+        paths = [
+            ofr_select(
+                problem,
+                criterion=cfg.criterion,
+                forced_first=i,
+                max_terms=cfg.max_terms,
+            )
+            for i in seed_indices
+        ]
+
+        iteration_best = iteration_best_key = None
+        for order, (seed, path) in enumerate(zip(seeds, paths)):
+            n_evaluations += path.n_evaluated
+            entry = _score_entry(
+                dictionary, path, seed, data, problem, cfg, msse_floor, data_hash
+            )
+            if entry is None:
+                continue
+            pool.entries.append(entry)
+            if not entry.selectable:
+                continue
+            key = (entry.bic, entry.model.n_terms, order)
+            if iteration_best_key is None or key < iteration_best_key:
+                iteration_best, iteration_best_key = entry, key
+
+        if iteration_best is None:
+            break
+
+        if iteration_best.msse <= msse_floor:
+            pruned = _exact_fit_prune(
+                problem, iteration_best.path, cfg.criterion, msse_floor
+            )
+            if pruned is not None:
+                n_evaluations += pruned.n_evaluated
+                entry = _score_entry(
+                    dictionary, pruned, iteration_best.seed_term, data,
+                    problem, cfg, msse_floor, data_hash,
+                )
+                if entry is not None:
+                    pool.entries.append(entry)
+                    if entry.selectable and entry.bic <= iteration_best.bic:
+                        iteration_best = entry
+                        iteration_best_key = (
+                            entry.bic, entry.model.n_terms, iteration_best_key[2]
+                        )
+
+        iteration_bics.append(iteration_best.bic)
+        if incumbent_key is None or iteration_best_key[:2] < incumbent_key[:2]:
+            incumbent, incumbent_key = iteration_best, iteration_best_key
+
+        term_set = frozenset(dictionary[i] for i in iteration_best.path.term_indices)
+        if term_set in seen_sets:
+            converged = True
+            break
+        seen_sets.add(term_set)
+        seeds = list(
+            dict.fromkeys(dictionary[i] for i in iteration_best.path.term_indices)
+        )
+
+    if incumbent is None:
+        raise IdentificationError("no stable candidate model in any iteration", pool=pool)
+    return SearchResult(
+        pool, incumbent, iterations, n_evaluations, converged, tuple(iteration_bics)
+    )
+
+
+def _dc_white():
+    return benchmark_data(n=120)
+
+
+def _dc_white_noisy():
+    data = benchmark_data(n=120, seed=1)
+    noise = 0.3 * np.random.default_rng(101).normal(size=120)
+    return IoData(data.u, data.y + noise)
+
+
+def _dc_prbs():
+    u = generate_signal(Prbs(length=300, levels=(0.0, 1.0), hold=5, seed=332))
+    return IoData(u, dc_motor_reference(u))
+
+
+def _linear():
+    # the criterion-9 system with output noise of std 0.1
+    rng = np.random.default_rng(90_000)
+    u = rng.normal(size=400)
+    clean = np.zeros(400)
+    for t in range(2, 400):
+        clean[t] = 1.6 * clean[t - 1] - 0.81 * clean[t - 2] + u[t - 1] + 0.5 * u[t - 2]
+    return IoData(u, clean + 0.1 * rng.normal(size=400))
+
+
+def _multitone():
+    # the exact-fit pruning record of TestExactFitPruning
+    u = generate_signal(Multitone(length=1000, sample_period=0.1))
+    return IoData(u[:200], dc_motor_reference(u)[:200])
+
+
+SEARCH_CASES = {
+    "dc-white": (_dc_white, None, SearchConfig()),
+    "dc-white-noisy": (_dc_white_noisy, None, SearchConfig()),
+    "dc-white-err": (_dc_white_noisy, None, SearchConfig(criterion=Criterion.ERR)),
+    "dc-prbs": (_dc_prbs, None, SearchConfig()),
+    "linear": (_linear, None, SearchConfig()),
+    "multitone-pruned": (_multitone, None, SearchConfig()),
+    # with these seeds the winner changes once more: three iterations
+    "preselect": (_dc_white_noisy, [6, 0, 3, 11, 1], SearchConfig()),
+    "preselect-one": (_dc_white_noisy, [12], SearchConfig()),
+    "capped": (_dc_white_noisy, [12], SearchConfig(max_iterations=2)),
+}
+
+
+def run_case(name, search):
+    make_data, preselect, cfg = SEARCH_CASES[name]
+    d = full_dictionary()
+    seeds = None if preselect is None else [d[i] for i in preselect]
+    return search(d, seeds, make_data(), cfg)
+
+
+def bits(model):
+    """Coefficients and bias as integers, so that -0.0 and 0.0 differ."""
+    return np.array([*model.coefficients, model.bias]).view(np.int64).tolist()
+
+
+def path_key(entry):
+    return entry.path.term_indices, entry.path.stop_reason
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+class TestSearchReuse:
+    """Each candidate is computed once per search, and the choice is the
+    one the loop without reuse makes."""
+
+    def test_matches_reference_loop(self, name):
+        ours = run_case(name, iterative_ofr)
+        ref = run_case(name, reference_iterative_ofr)
+        assert ours.best.model.terms == ref.best.model.terms
+        assert bits(ours.best.model) == bits(ref.best.model)
+        assert ours.best.msse == ref.best.msse
+        assert ours.best.bic == ref.best.bic
+        assert ours.iteration_bics == ref.iteration_bics
+        assert ours.iterations == ref.iterations
+        assert ours.converged == ref.converged
+        assert ours.best.path.stop_reason == ref.best.path.stop_reason
+        # the pool is the reference pool with repeats dropped
+        first_seen = {}
+        for entry in ref.pool:
+            first_seen.setdefault(path_key(entry), entry)
+        assert [path_key(e) for e in ours.pool] == list(first_seen)
+        assert [e.model for e in ours.pool] == [e.model for e in first_seen.values()]
+        assert ours.n_evaluations <= ref.n_evaluations
+
+    def test_each_path_and_probe_once(self, name, monkeypatch):
+        calls, probes = [], []
+
+        def counting_select(problem, *args, **kwargs):
+            path = ofr_select(problem, *args, **kwargs)
+            calls.append(((problem.dictionary.terms, kwargs["forced_first"]), path))
+            return path
+
+        def counting_probe(model, *args, **kwargs):
+            probes.append(model)
+            return stability_probe(model, *args, **kwargs)
+
+        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+        monkeypatch.setattr(narxid.search, "stability_probe", counting_probe)
+        result = run_case(name, iterative_ofr)
+        keys = [key for key, _ in calls]
+        assert len(keys) == len(set(keys))
+        assert len(probes) == len(result.pool)
+        assert result.n_evaluations == sum(path.n_evaluated for _, path in calls)
