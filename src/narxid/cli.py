@@ -31,7 +31,6 @@ from .dataio import (
 from .errors import (
     ConfigError,
     DataError,
-    DivergenceError,
     IdentificationError,
     InsufficientDataError,
     NarxidError,
@@ -39,7 +38,7 @@ from .errors import (
 from .pipeline import identify
 from .search import SearchConfig
 from .simulation import predict_one_step, simulate_free_run
-from .validation import residual_tests
+from .validation import ValidationReport, residual_tests
 
 SYNTH_CASES = ("dc-motor-white", "dc-motor-multitone", "dc-motor-prbs")
 
@@ -141,6 +140,16 @@ def _run_config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _validate(model, data, max_lag: int) -> ValidationReport:
+    """Residual tests on the model's one-step residuals over ``data``.
+
+    ``max_lag`` 0 means the default lag range.
+    """
+    predictions = predict_one_step(model, data)
+    residuals = data.y[model.max_lag :] - predictions[model.max_lag :]
+    return residual_tests(residuals, data.u[model.max_lag :], max_lag or None)
+
+
 def _cmd_identify(args) -> int:
     run = _run_config_from_args(args)
     data = ingest_csv(run.data, run.u_column, run.y_column)
@@ -165,10 +174,7 @@ def _cmd_identify(args) -> int:
         want_narx=run.want_narx,
     )
     model = report.chosen_model
-    predictions = predict_one_step(model, train)
-    residuals = train.y[model.max_lag :] - predictions[model.max_lag :]
-    max_lag = run.validation_max_lag or None
-    validation = residual_tests(residuals, train.u[model.max_lag :], max_lag)
+    validation = _validate(model, train, run.validation_max_lag)
     written = render_report(report, validation, data, run.output_dir)
     print(f"chosen: {report.chosen}; {model.n_terms} terms; "
           f"artifacts in {run.output_dir}")
@@ -204,11 +210,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     data = ingest_csv(args.data, args.u_column, args.y_column)
-    predictions = predict_one_step(model, data)
-    residuals = data.y[model.max_lag :] - predictions[model.max_lag :]
-    report = residual_tests(
-        residuals, data.u[model.max_lag :], args.max_lag or None
-    )
+    report = _validate(model, data, args.max_lag)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_correlation_csvs(report, out)
@@ -243,9 +245,6 @@ def main(argv=None) -> int:
         return 2
     except IdentificationError as exc:
         print(f"identification failed: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

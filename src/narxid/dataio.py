@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +84,7 @@ def save_model(model: Model, path) -> None:
         "terms": list(model.term_strings()),
         "coefficients": [format(c, ".17g") for c in model.coefficients],
         "bias": format(model.bias, ".17g"),
-        "lag_spec": (
-            None if model.lag_spec is None else {
-                "n_a": model.lag_spec.n_a,
-                "n_b": model.lag_spec.n_b,
-                "degree": model.lag_spec.degree,
-                "include_constant": model.lag_spec.include_constant,
-            }
-        ),
+        "lag_spec": None if model.lag_spec is None else asdict(model.lag_spec),
         "provenance": _jsonable(model.provenance),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -262,12 +255,7 @@ def report_document(
         "schema": REPORT_SCHEMA,
         "chosen": report.chosen,
         "method": report.method.value,
-        "lag_spec": {
-            "n_a": report.lag_spec.n_a,
-            "n_b": report.lag_spec.n_b,
-            "degree": report.lag_spec.degree,
-            "include_constant": report.lag_spec.include_constant,
-        },
+        "lag_spec": asdict(report.lag_spec),
         "table": [
             {
                 "term": row.term,
@@ -346,8 +334,6 @@ def render_report(
             f"{row.term:<24} {_format_float(row.ms_press):>14} "
             f"{_format_float(row.err):>14} {row.coefficient:>16.10g}"
         )
-    if model.bias and not any(r.term == "1" for r in report.table):
-        lines.append(f"{'1':<24} {'':>14} {'':>14} {model.bias:>16.10g}")
     for note in report.notes:
         lines.append("")
         lines.append(f"note: {note}")
@@ -362,7 +348,7 @@ def render_report(
     written.append(report_path)
 
     model_path = out / "model.json"
-    save_model(model, model_path)
+    save_model(replace(model, lag_spec=report.lag_spec), model_path)
     written.append(model_path)
 
     sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])

@@ -82,7 +82,6 @@ class StageRecord:
     outcome: SearchResult
     dictionary: Dictionary
     n_evaluations: int
-    elapsed_s: float
 
     @property
     def bic(self) -> float:
@@ -170,9 +169,7 @@ def identify(
     t0 = time.perf_counter()
     arx_outcome = iterative_ofr(d_linear, None, data, cfg)
     timings["arx_s"] = time.perf_counter() - t0
-    arx_stage = StageRecord(
-        arx_outcome, d_linear, arx_outcome.n_evaluations, timings["arx_s"]
-    )
+    arx_stage = StageRecord(arx_outcome, d_linear, arx_outcome.n_evaluations)
     logger.debug(
         "linear stage: %d terms, bic %.3f",
         arx_outcome.model.n_terms, arx_stage.bic,
@@ -219,9 +216,7 @@ def identify(
         narx_outcome = iterative_ofr(search_dict, preselect, data, cfg)
         narx_evals += narx_outcome.n_evaluations
         timings["narx_s"] = time.perf_counter() - t0
-        narx_stage = StageRecord(
-            narx_outcome, search_dict, narx_evals, timings["narx_s"]
-        )
+        narx_stage = StageRecord(narx_outcome, search_dict, narx_evals)
 
         arx_set = frozenset(arx_model.terms)
         narx_set = frozenset(narx_outcome.model.terms)

@@ -157,7 +157,6 @@ def build_model(
     path: SelectionPath,
     criterion: Criterion,
     data_hash: str | None = None,
-    lag_spec=None,
 ) -> Model:
     """Turn a finished path into a :class:`Model`.
 
@@ -184,10 +183,7 @@ def build_model(
         "stop_reason": path.stop_reason,
         "data_hash": data_hash,
     }
-    return Model(
-        tuple(terms), tuple(coefficients), bias=bias, lag_spec=lag_spec,
-        provenance=provenance,
-    )
+    return Model(tuple(terms), tuple(coefficients), bias=bias, provenance=provenance)
 
 
 def _score_entry(

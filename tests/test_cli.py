@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from narxid import LagSpec
 from narxid.cli import main
 from narxid.dataio import ingest_csv, load_model
 
@@ -201,6 +202,17 @@ class TestSimulateAndValidate:
     def test_loaded_model_matches_report(self, model_path):
         model = load_model(model_path)
         assert model.n_terms == 9
+
+    def test_identified_model_records_lag_spec(self, tmp_path, bench_csv):
+        cfg = write_config(tmp_path, bench_csv, n_a=3, include_constant="true")
+        assert main(["identify", "--config", str(cfg)]) == 0
+        model_path = tmp_path / "out" / "model.json"
+        spec = {"n_a": 3, "n_b": 2, "degree": 2, "include_constant": True}
+        assert json.loads(model_path.read_text())["lag_spec"] == spec
+        assert load_model(model_path).lag_spec == LagSpec(3, 2, 2, True)
+        common = ["--model", str(model_path), "--data", str(bench_csv)]
+        assert main(["simulate", *common, "--out", str(tmp_path / "sim.csv")]) == 0
+        assert main(["validate", *common, "--out", str(tmp_path / "val")]) == 0
 
 
 class TestDeterminism:

@@ -21,6 +21,94 @@ def naive_cross_correlation(a, b, max_lag):
     return out
 
 
+def reference_cross_correlation(a, b, max_lag, two_sided):
+    """The full-correlation formula: every lag, then the reported slice.
+
+    Kept as the bit-for-bit reference for the per-lag dot products in
+    ``validation._make_test``.  Returns (lags, values).
+    """
+    L = len(a)
+    denom = np.sqrt(float(a @ a) * float(b @ b))
+    if denom == 0.0:
+        values = np.zeros(2 * max_lag + 1)
+    else:
+        # np.correlate(b, a, "full")[L-1+tau] = sum_t a(t) b(t+tau)
+        full = np.correlate(b, a, mode="full")
+        center = L - 1
+        values = full[center - max_lag : center + max_lag + 1] / denom
+    lags = np.arange(-max_lag, max_lag + 1)
+    if not two_sided:
+        keep = lags >= 0
+        lags, values = lags[keep], values[keep]
+    return lags, values
+
+
+def reference_residual_tests(residuals, u, max_lag):
+    """(name, lags, values, passed, degenerate) of the five tests."""
+    L = len(residuals)
+    bound = 1.96 / np.sqrt(L)
+    e = residuals - residuals.mean()
+    uc = u - u.mean()
+    eu = residuals * u
+    euc = eu - eu.mean()
+    u2c = u**2 - (u**2).mean()
+    e2c = residuals**2 - (residuals**2).mean()
+    out = []
+    for name, a, b, two_sided in (
+        ("phi_ee", e, e, False),
+        ("phi_ue", uc, e, True),
+        ("phi_e_eu", euc, e, False),
+        ("phi_u2e", u2c, e, True),
+        ("phi_u2e2", u2c, e2c, True),
+    ):
+        lags, values = reference_cross_correlation(a, b, max_lag, two_sided)
+        checked = values[lags != 0] if name == "phi_ee" else values
+        degenerate = float(a @ a) == 0.0 or float(b @ b) == 0.0
+        passed = degenerate or bool(np.all(np.abs(checked) <= bound))
+        out.append((name, lags, values, passed, degenerate))
+    return out
+
+
+class TestMatchesFullCorrelation:
+    """Per-lag dot products give the full correlation's values bit for bit."""
+
+    LENGTHS = (4, 5, 57, 400, 4096, 20000)
+
+    @staticmethod
+    def assert_same(residuals, u, max_lag):
+        report = residual_tests(residuals, u, max_lag)
+        reference = reference_residual_tests(
+            residuals, u, max_lag or min(25, len(u) // 4)
+        )
+        assert [t.name for t in report.tests] == [r[0] for r in reference]
+        for test, (_, lags, values, passed, degenerate) in zip(report.tests, reference):
+            assert np.array_equal(test.lags, lags), test.name
+            assert np.array_equal(test.values.view(np.int64), values.view(np.int64)), test.name
+            assert test.passed == passed, test.name
+            assert test.degenerate == degenerate, test.name
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_random_records(self, L):
+        rng = np.random.default_rng(L)
+        residuals = rng.normal(size=L) * 0.3
+        u = rng.normal(size=L) * 5.0 + 1.0
+        for max_lag in (1, None, L - 1):
+            self.assert_same(residuals, u, max_lag)
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_zero_residual_is_degenerate(self, L):
+        u = np.random.default_rng(L).normal(size=L)
+        self.assert_same(np.zeros(L), u, None)
+        assert all(t.degenerate for t in residual_tests(np.zeros(L), u).tests)
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_constant_input(self, L):
+        residuals = np.random.default_rng(L).normal(size=L)
+        self.assert_same(residuals, np.full(L, 2.5), None)
+        report = residual_tests(residuals, np.full(L, 2.5))
+        assert report["phi_ue"].degenerate and not report["phi_ee"].degenerate
+
+
 class TestAgainstNaiveOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_phi_ue_matches_double_loop(self, seed):

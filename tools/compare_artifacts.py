@@ -1,0 +1,135 @@
+"""Run every benchmark operation once per tree and compare the artifacts.
+
+Usage::
+
+    python3 tools/compare_artifacts.py --tree PATH --seed N --out DIR [--workloads a,b]
+    python3 tools/compare_artifacts.py --diff DIR_A DIR_B
+
+The first form sets up each workload of ``PATH/bench/workloads.py`` with
+seed ``N`` and runs each of its operations once through ``narxid.cli.main``,
+in a fresh interpreter that imports narxid from ``PATH/src``.  Everything an
+operation writes lands in ``DIR/<workload>/<operation>/``, the generated
+inputs in ``DIR/<workload>/inputs/``.  The ``timings`` block, the only part
+of a report that changes from run to run, is dropped from every
+``report.json``.  It exits 1 if an operation's check fails.
+
+The second form lists the files that differ between two such directories,
+or exist in only one, and exits 1 if any do.  The ``.cfg`` inputs are not
+compared, because they name the paths of their own records.
+
+A change that must keep the program's output runs the first form on a
+checkout of the parent commit and on the change, at the same seed, and
+then the second form on the two directories.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOAD_NAMES = ("small-batch", "large-dict", "reduced-err", "replay-long")
+IGNORED_SUFFIXES = (".cfg",)
+
+# Runs in the fresh interpreter: argv is tree, seed, out, workload names.
+CHILD = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+tree, seed, out, names = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4:]
+sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+import narxid.cli
+from workloads import WORKLOADS
+
+if not narxid.cli.__file__.startswith(str(tree / "src")):
+    sys.exit(f"narxid was imported from {narxid.cli.__file__}, not from {tree / 'src'}")
+failed = 0
+for name in names:
+    inputs = out / name / "inputs"
+    inputs.mkdir(parents=True)
+    for op in WORKLOADS[name](seed, inputs):
+        op_out = out / name / op.name
+        op_out.mkdir()
+        codes = []
+        for argv in op.argvs(op_out):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(narxid.cli.main(argv))
+        verdict = op.verify(op_out, codes)
+        failed += not verdict.ok
+        print(f"{name}/{op.name}: {'ok' if verdict.ok else 'FAILED ' + verdict.detail}")
+    for report in (out / name).rglob("report.json"):
+        doc = json.loads(report.read_text())
+        doc.pop("timings", None)
+        report.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+sys.exit(1 if failed else 0)
+"""
+
+
+def run_tree(tree: Path, seed: int, out: Path, workloads: list[str]) -> int:
+    """Write every operation's artifacts under ``out``; the child's exit code."""
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    # one BLAS thread, so sums over long records do not depend on the core count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tree.resolve()), str(seed), str(out.resolve()), *workloads],
+        env=env,
+    )
+    return child.returncode
+
+
+def _files(root: Path) -> set[Path]:
+    return {
+        p.relative_to(root) for p in root.rglob("*")
+        if p.is_file() and p.suffix not in IGNORED_SUFFIXES
+    }
+
+
+def diff_dirs(a: Path, b: Path) -> int:
+    """Print each file that differs between ``a`` and ``b``; 1 if any does."""
+    files_a, files_b = _files(a), _files(b)
+    differ = sorted(
+        rel for rel in files_a | files_b
+        if rel not in files_a or rel not in files_b
+        or (a / rel).read_bytes() != (b / rel).read_bytes()
+    )
+    for rel in differ:
+        if rel not in files_b:
+            print(f"only in {a}: {rel}")
+        elif rel not in files_a:
+            print(f"only in {b}: {rel}")
+        else:
+            print(f"differs: {rel}")
+    print(f"{len(files_a | files_b)} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tree", type=Path, help="checkout whose src/ and bench/ to run")
+    mode.add_argument("--diff", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"))
+    parser.add_argument("--seed", type=int, default=332)
+    parser.add_argument("--out", type=Path, help="empty directory for the artifacts")
+    parser.add_argument(
+        "--workloads", default=",".join(WORKLOAD_NAMES),
+        help="comma-separated workload names (default: all four)",
+    )
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff_dirs(*args.diff)
+    if args.out is None:
+        parser.error("--tree needs --out")
+    workloads = args.workloads.split(",")
+    unknown = sorted(set(workloads) - set(WORKLOAD_NAMES))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}")
+    return run_tree(args.tree, args.seed, args.out, workloads)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
