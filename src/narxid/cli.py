@@ -11,9 +11,9 @@ error, 3 data or I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +26,7 @@ from .dataio import (
     parse_config_file,
     render_report,
     write_correlation_csvs,
+    write_csv,
     write_timeseries_csv,
 )
 from .errors import (
@@ -123,14 +124,9 @@ def _cmd_synth(args) -> int:
 def _run_config_from_args(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "data", "u_column", "y_column", "train_start", "train_end",
-            "n_a", "n_b", "degree", "include_constant", "criterion", "method",
-            "max_iterations", "epsilon", "max_terms", "validation_max_lag",
-            "output_dir",
-        )
-        if getattr(args, name, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
     }
     cfg = apply_config_values(cfg, overrides, source="command line")
     if args.arx_only:
@@ -175,7 +171,8 @@ def _cmd_identify(args) -> int:
     )
     model = report.chosen_model
     validation = _validate(model, train, run.validation_max_lag)
-    written = render_report(report, validation, data, run.output_dir)
+    sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
+    written = render_report(report, validation, data.y, sim.output, run.output_dir)
     print(f"chosen: {report.chosen}; {model.n_terms} terms; "
           f"artifacts in {run.output_dir}")
     for path in written:
@@ -196,11 +193,9 @@ def _cmd_simulate(args) -> int:
     else:
         run = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
         out, diverged_at = run.output, run.diverged_at
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "measured", "predicted"])
-        for i, (yi, pi) in enumerate(zip(data.y, out), start=1):
-            writer.writerow([i, format(yi, ".17g"), format(pi, ".17g")])
+    write_csv(
+        args.out, ("t", "measured", "predicted"), range(1, len(data) + 1), (data.y, out)
+    )
     if diverged_at is not None:
         print(f"warning: simulation diverged at sample {diverged_at}", file=sys.stderr)
     print(f"wrote {args.out}")

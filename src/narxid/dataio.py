@@ -19,12 +19,13 @@ from .errors import ConfigError, DataError
 from .ofr import Criterion
 from .pipeline import IdentificationReport, ReductionMethod
 from .regression import IoData
-from .simulation import Model, simulate_free_run
+from .simulation import Model
 from .terms import LagSpec, parse_term
 from .validation import ValidationReport
 
 __all__ = [
     "ingest_csv",
+    "write_csv",
     "write_timeseries_csv",
     "save_model",
     "load_model",
@@ -41,24 +42,37 @@ MODEL_SCHEMA = "narxid-model/1"
 
 
 def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
-    """Load aligned input/output samples from a headed CSV file."""
+    """Load aligned input/output samples from a headed CSV file.
+
+    The first line is the header; a repeated column name reads its last
+    column.  Blank lines after it are skipped and not counted in the row
+    numbers of error messages, and a cell missing from a short row is blank.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        missing = {u_column, y_column} - set(reader.fieldnames)
+        missing = {u_column, y_column} - set(header)
         if missing:
             raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        index = {name: j for j, name in enumerate(header)}
         u_vals, y_vals = [], []
-        for i, row in enumerate(reader, start=2):  # 1-based incl. header
-            for col, dest in ((u_column, u_vals), (y_column, y_vals)):
-                cell = row.get(col)
-                if cell is None or cell.strip() == "":
-                    raise DataError(f"{path}: blank {col!r} cell at row {i}")
+        columns = (
+            (u_column, index[u_column], u_vals), (y_column, index[y_column], y_vals)
+        )
+        rows = (row for row in reader if row)
+        for i, row in enumerate(rows, start=2):  # 1-based incl. header
+            for col, j, dest in columns:
+                cell = row[j] if j < len(row) else ""
                 try:
                     dest.append(float(cell))
                 except ValueError:
+                    if not cell.strip():
+                        raise DataError(
+                            f"{path}: blank {col!r} cell at row {i}"
+                        ) from None
                     raise DataError(
                         f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
                     ) from None
@@ -67,14 +81,24 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
     return IoData(np.array(u_vals), np.array(y_vals))
 
 
+def write_csv(path, header, index, columns) -> None:
+    """Write the one CSV format narxid writes.
+
+    A ``header`` line, then one row per entry of the integer ``index``
+    followed by that entry of each float column.  Floats carry 17
+    significant digits, so reading a file back gives the same doubles, and
+    every line ends in ``\\r\\n``.
+    """
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row_format = "%d" + ",%.17g" * len(cols) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % row for row in zip(index, *cols))
+
+
 def write_timeseries_csv(path, u, y) -> None:
     """Write a ``t,u,y`` CSV (t is the 1-based sample index)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u", "y"])
-        for i, (ui, yi) in enumerate(zip(u, y), start=1):
-            writer.writerow([i, format(ui, ".17g"), format(yi, ".17g")])
+    write_csv(path, ("t", "u", "y"), range(1, len(u) + 1), (u, y))
 
 
 def save_model(model: Model, path) -> None:
@@ -215,18 +239,6 @@ def _jsonable(value):
     return str(value)
 
 
-def _verdict_doc(verdict) -> dict:
-    return {
-        "stable": verdict.stable,
-        "mean0": verdict.mean0,
-        "var0": verdict.var0,
-        "mean1": verdict.mean1,
-        "var1": verdict.var1,
-        "diverged": verdict.diverged,
-        "bias_mean_ok": verdict.bias_mean_ok,
-    }
-
-
 def _stage_doc(stage) -> dict:
     best = stage.outcome.best
     return {
@@ -236,7 +248,7 @@ def _stage_doc(stage) -> dict:
         "bias": format(best.model.bias, ".17g"),
         "bic": best.bic,
         "msse": best.msse,
-        "stability": _verdict_doc(best.verdict),
+        "stability": asdict(best.verdict),
         "iterations": stage.outcome.iterations,
         "converged": stage.outcome.converged,
         "n_evaluations": stage.n_evaluations,
@@ -296,14 +308,15 @@ def _format_float(x: float) -> str:
 def render_report(
     report: IdentificationReport,
     validation: ValidationReport | None,
-    data: IoData,
+    measured: np.ndarray,
+    simulated: np.ndarray,
     out_dir,
 ) -> list[Path]:
     """Write all run artifacts into ``out_dir``; returns the written paths.
 
     Artifacts: a human-readable model table, the JSON report, the chosen
-    model (loadable), measured-vs-simulated plot data, and one CSV per
-    correlation test.
+    model (loadable), the ``measured`` record against the chosen model's
+    ``simulated`` free run, and one CSV per correlation test.
     """
     out = Path(out_dir)
     try:
@@ -351,15 +364,11 @@ def render_report(
     save_model(replace(model, lag_spec=report.lag_spec), model_path)
     written.append(model_path)
 
-    sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
     sim_path = out / "simulation.csv"
-    with sim_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "measured", "simulated", "residual"])
-        for i, (yi, si) in enumerate(zip(data.y, sim.output), start=1):
-            writer.writerow(
-                [i, format(yi, ".17g"), format(si, ".17g"), format(yi - si, ".17g")]
-            )
+    write_csv(
+        sim_path, ("t", "measured", "simulated", "residual"),
+        range(1, len(measured) + 1), (measured, simulated, measured - simulated),
+    )
     written.append(sim_path)
 
     if validation is not None:
@@ -372,13 +381,10 @@ def write_correlation_csvs(validation: ValidationReport, out_dir) -> list[Path]:
     written = []
     for test in validation.tests:
         test_path = Path(out_dir) / f"correlation_{test.name}.csv"
-        with test_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag", "value", "lower", "upper"])
-            for lag, value in zip(test.lags, test.values):
-                writer.writerow(
-                    [int(lag), format(value, ".17g"),
-                     format(-test.bound, ".17g"), format(test.bound, ".17g")]
-                )
+        band = np.full(len(test.lags), test.bound)
+        write_csv(
+            test_path, ("lag", "value", "lower", "upper"),
+            test.lags, (test.values, -band, band),
+        )
         written.append(test_path)
     return written

@@ -32,6 +32,9 @@ __all__ = [
 # Any simulated magnitude beyond this (or non-finite) counts as divergence.
 DIVERGENCE_LIMIT = 1e12
 
+PROBE_SAMPLES = 1000
+PROBE_SETTLE = 200
+
 
 @dataclass(frozen=True)
 class Model:
@@ -217,34 +220,27 @@ def predict_one_step(model: Model, data: IoData) -> np.ndarray:
     return out
 
 
-def stability_probe(
-    model: Model,
-    epsilon: float = 1e-2,
-    n_sim: int = 1000,
-    n_settle: int = 200,
-) -> StabilityVerdict:
+def stability_probe(model: Model, epsilon: float = 1e-2) -> StabilityVerdict:
     """Constant-input probe: the model must settle, not grow.
 
     Simulates from zero initial conditions under ``u == 0`` and ``u == 1``
-    for ``n_sim`` samples; the first ``n_settle`` are discarded as
-    transient.  Stable means both runs stay finite and the post-settle
+    for ``PROBE_SAMPLES`` samples; the first ``PROBE_SETTLE`` are discarded
+    as transient.  Stable means both runs stay finite and the post-settle
     variance of each is at most ``epsilon``.  Divergence is a verdict, not
     an error.
     """
-    if n_sim <= n_settle:
-        raise ConfigError("n_sim must exceed n_settle")
-    if n_settle < model.max_lag:
-        raise ConfigError("n_settle must cover the model's maximum lag")
+    if PROBE_SETTLE < model.max_lag:
+        raise ConfigError(f"model lag {model.max_lag} exceeds the probe's settle window")
     stats = []
     diverged = False
     for level in (0.0, 1.0):
-        u = np.full(n_sim, level)
+        u = np.full(PROBE_SAMPLES, level)
         run = simulate_free_run(model, u, np.zeros(model.max_output_lag))
         if run.diverged:
             diverged = True
             stats.append((float("nan"), float("nan")))
             continue
-        tail = run.output[n_settle:]
+        tail = run.output[PROBE_SETTLE:]
         stats.append((float(np.mean(tail)), float(np.var(tail))))
     (mean0, var0), (mean1, var1) = stats
     stable = (

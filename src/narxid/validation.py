@@ -22,7 +22,6 @@ in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -61,12 +60,6 @@ class ValidationReport:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-    def rows(self) -> Iterator[tuple[str, int, float, float, float]]:
-        """Plot-ready rows: (test, lag, value, lower bound, upper bound)."""
-        for t in self.tests:
-            for lag, value in zip(t.lags, t.values):
-                yield (t.name, int(lag), float(value), -t.bound, t.bound)
 
 
 def _make_test(

@@ -408,8 +408,9 @@ def test_criterion_10_determinism(tmp_path):
                 data.u[model.max_lag:],
                 max_lag=20,
             )
+            sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
             out = tmp_path / name
-            render_report(report, validation, data, out)
+            render_report(report, validation, data.y, sim.output, out)
             doc = json.loads((out / "report.json").read_text())
             doc.pop("timings")
             payloads.append(

@@ -1,6 +1,8 @@
 """CSV ingestion, config parsing, model and report serialization."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,57 @@ from narxid.dataio import (
     parse_config_file,
     render_report,
     save_model,
+    write_correlation_csvs,
+    write_csv,
     write_timeseries_csv,
 )
+
+
+def reference_write_csv(path, header, index, columns):
+    """The plain ``csv.writer`` loop: ``write_csv`` must give the same bytes."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, *values in zip(index, *columns):
+            writer.writerow([int(i), *(format(v, ".17g") for v in values)])
+
+
+def reference_ingest_csv(path, u_column="u", y_column="y"):
+    """The plain ``csv.DictReader`` loop: ``ingest_csv`` must read the same
+    arrays and raise the same messages."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        missing = {u_column, y_column} - set(reader.fieldnames)
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        u_vals, y_vals = [], []
+        for i, row in enumerate(reader, start=2):  # 1-based incl. header
+            for col, dest in ((u_column, u_vals), (y_column, y_vals)):
+                cell = row.get(col)
+                if cell is None or cell.strip() == "":
+                    raise DataError(f"{path}: blank {col!r} cell at row {i}")
+                try:
+                    dest.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
+                    ) from None
+    if not u_vals:
+        raise DataError(f"{path}: no data rows")
+    return IoData(np.array(u_vals), np.array(y_vals))
+
+
+def edge_record(rng, n):
+    """Random doubles with nan, +-inf, -0.0, subnormals and huge values mixed in."""
+    x = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=n)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                         1e300, -1e300, 1.0 / 3.0, 1e16, 123456789.0])
+    picks = rng.random(n) < 0.3
+    x[picks] = rng.choice(specials, size=int(picks.sum()))
+    return x
 
 
 class TestIngestCsv:
@@ -57,6 +108,44 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="missing column"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("text", [
+        "t,u,y\n1,0.5,1.0\n\n\n2,abc,2.0\n",  # blank lines before a bad row
+        "t,u,y\n1,0.5,1.0\n\n2,,2.0\n",
+        "t,u,y\n\n1,0.5,1.0\n\n2,0.25,2.0\n\n",
+        "t,u,y\n1,0.5\n",  # short row
+        "t,u,y\n1,0.5,1.0\n2\n",
+        "t,u,y\n1,0.5,1.0,7,8\n2,0.25,2.0,9\n",  # extra columns
+        "t,u,y\n1,  ,1.0\n",  # whitespace-only cells
+        "t,u,y\n1,0.5,\t\n",
+        "t,u,y\n1, 0.5 ,1.0 \n",
+        "u,y,u\n1,2,3\n4,5,6\n",  # a repeated name reads its last column
+        "u,y,u\n1,2\n",
+        '"t","u","y"\n1,"0.5","1e3"\n2," 2.5 ",-0\n',  # quoted cells
+        't,u,y\n1,"1,5",2\n',
+        't,u,y\n1,"",2\n',
+        "t,u,y\n1,0.5,1.0\n2,abc,2.0\n",  # non-numeric cells
+        "t,u,y\n1,nan,-inf\n2,1_000,0x10\n",
+        "t,u,y\r\n1,0.5,1.0\r\n2,0.25,2.0\r\n",
+        "",  # empty file
+        "\n\n",
+        "\nt,u,y\n1,2,3\n",
+        "t,u,y\n",  # header only
+        "t,u,y\n\n\n",
+        "t,input,y\n1,0.5,1.0\n",
+    ])
+    def test_matches_dictreader_reference(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                data = read(p)
+            except DataError as exc:
+                return str(exc)
+            return data.u.view(np.int64).tolist(), data.y.view(np.int64).tolist()
+
+        assert outcome(ingest_csv) == outcome(reference_ingest_csv)
+
     def test_round_trip_with_generator(self, tmp_path):
         u = np.random.default_rng(3).normal(size=200)
         y = dc_motor_reference(u)
@@ -65,6 +154,44 @@ class TestIngestCsv:
         data = ingest_csv(p)
         assert_array_equal(data.u, u)
         assert_array_equal(data.y, y)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_csv_writer_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 300))
+        header = ("t", "a", "b", "c")[: int(rng.integers(1, 5))]
+        columns = [edge_record(rng, n) for _ in header[1:]]
+        index = np.arange(-(n // 2), n - n // 2) if seed % 2 else range(1, n + 1)
+        write_csv(tmp_path / "new.csv", header, index, columns)
+        reference_write_csv(tmp_path / "ref.csv", header, index, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_timeseries_matches_reference_and_reads_back(self, tmp_path):
+        rng = np.random.default_rng(11)
+        u, y = edge_record(rng, 500), edge_record(rng, 500)
+        # IoData refuses non-finite samples
+        u[~np.isfinite(u)], y[~np.isfinite(y)] = -0.0, 5e-324
+        write_timeseries_csv(tmp_path / "new.csv", u, y)
+        reference_write_csv(tmp_path / "ref.csv", ("t", "u", "y"), range(1, 501), (u, y))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        data = ingest_csv(tmp_path / "new.csv")
+        assert_array_equal(data.u.view(np.int64), u.view(np.int64))
+        assert_array_equal(data.y.view(np.int64), y.view(np.int64))
+
+    def test_correlation_csvs_match_reference(self, tmp_path):
+        rng = np.random.default_rng(12)
+        validation = residual_tests(rng.normal(size=200), rng.normal(size=200))
+        for path in write_correlation_csvs(validation, tmp_path):
+            test = validation[path.stem.removeprefix("correlation_")]
+            ref = tmp_path / "ref.csv"
+            band = np.full(len(test.lags), test.bound)
+            reference_write_csv(
+                ref, ("lag", "value", "lower", "upper"), test.lags,
+                (test.values, -band, band),
+            )
+            assert path.read_bytes() == ref.read_bytes()
 
 
 class TestModelSerialization:
@@ -160,8 +287,9 @@ class TestRenderReport:
         pred = predict_one_step(model, data)
         residuals = data.y[2:] - pred[2:]
         validation = residual_tests(residuals, data.u[2:], max_lag=10)
+        sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
         out = tmp_path / "out"
-        written = render_report(report, validation, data, out)
+        written = render_report(report, validation, data.y, sim.output, out)
         return report, validation, out, written
 
     def test_artifacts_written(self, run_artifacts):

@@ -271,5 +271,7 @@ class TestStabilityProbe:
         assert a == b
 
     def test_settle_window_validated(self):
-        with pytest.raises(ConfigError):
-            stability_probe(linear_model(), n_sim=100, n_settle=100)
+        # the probe drops its first 200 samples; a lag beyond that is refused
+        m = Model((parse_term("y(t-201)"), parse_term("u(t-1)")), (0.5, 1.0))
+        with pytest.raises(ConfigError, match="settle window"):
+            stability_probe(m)

@@ -190,18 +190,6 @@ class TestContracts:
         for ta, tb in zip(a.tests, b.tests):
             assert_allclose(ta.values, tb.values, rtol=0, atol=0)
 
-    def test_rows_serialization(self):
-        rng = np.random.default_rng(8)
-        report = residual_tests(rng.normal(size=100), rng.normal(size=100), max_lag=5)
-        rows = list(report.rows())
-        names = {r[0] for r in rows}
-        assert names == {"phi_ee", "phi_ue", "phi_e_eu", "phi_u2e", "phi_u2e2"}
-        # 6 one-sided lags for phi_ee/phi_e_eu, 11 two-sided for the rest
-        assert len(rows) == 6 * 2 + 11 * 3
-        for _, lag, value, lower, upper in rows:
-            assert lower < upper
-            assert isinstance(lag, int)
-
     def test_input_validation(self):
         with pytest.raises(DataError):
             residual_tests(np.zeros(10), np.zeros(9))
