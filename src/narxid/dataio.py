@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError
 from .ofr import Criterion
 from .pipeline import IdentificationReport, ReductionMethod
 from .regression import IoData
+from .search import SearchConfig
 from .simulation import Model
 from .terms import LagSpec, parse_term
 from .validation import ValidationReport
@@ -47,6 +48,7 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
     The first line is the header; a repeated column name reads its last
     column.  Blank lines after it are skipped and not counted in the row
     numbers of error messages, and a cell missing from a short row is blank.
+    Once every cell has parsed, the first ``nan`` or infinite one is an error.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -78,7 +80,13 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
                     ) from None
     if not u_vals:
         raise DataError(f"{path}: no data rows")
-    return IoData(np.array(u_vals), np.array(y_vals))
+    u, y = np.array(u_vals), np.array(y_vals)
+    finite = np.isfinite(u) & np.isfinite(y)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        col, x = (u_column, u[k]) if not np.isfinite(u[k]) else (y_column, y[k])
+        raise DataError(f"{path}: non-finite {col!r} cell at row {k + 2}: {float(x)}")
+    return IoData(u, y)
 
 
 def write_csv(path, header, index, columns) -> None:
@@ -109,7 +117,7 @@ def save_model(model: Model, path) -> None:
         "coefficients": [format(c, ".17g") for c in model.coefficients],
         "bias": format(model.bias, ".17g"),
         "lag_spec": None if model.lag_spec is None else asdict(model.lag_spec),
-        "provenance": _jsonable(model.provenance),
+        "provenance": model.provenance,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -157,8 +165,8 @@ class RunConfig:
     criterion: str = "press"
     method: str = "none"
     want_narx: bool = True
-    max_iterations: int = 10
-    epsilon: float = 1e-2
+    max_iterations: int = SearchConfig.max_iterations
+    epsilon: float = SearchConfig.epsilon
     max_terms: int = 0  # 0 means the identifiability default
     validation_max_lag: int = 0  # 0 means the default
     output_dir: str = "narxid-out"
@@ -198,8 +206,6 @@ def parse_config_file(path) -> RunConfig:
 def apply_config_values(cfg: RunConfig, values: dict, source: str = "override") -> RunConfig:
     known = {f.name: f.type for f in fields(RunConfig)}
     for key, val in values.items():
-        if val is None:
-            continue
         if key not in known:
             raise ConfigError(f"{source}: unknown config key {key!r}")
         current = getattr(cfg, key)
@@ -223,27 +229,11 @@ def apply_config_values(cfg: RunConfig, values: dict, source: str = "override") 
     return cfg
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return str(value)
-
-
 def _stage_doc(stage) -> dict:
     best = stage.outcome.best
     return {
         "dictionary_size": len(stage.dictionary),
-        "terms": [str(t) for t in best.model.terms],
+        "terms": list(best.model.term_strings()),
         "coefficients": [format(c, ".17g") for c in best.model.coefficients],
         "bias": format(best.model.bias, ".17g"),
         "bic": best.bic,

@@ -92,9 +92,6 @@ class SelectionPath:
     def term_indices(self) -> tuple[int, ...]:
         return tuple(s.term_index for s in self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def default_max_terms(n_terms: int, n_rows: int) -> int:
     """Identifiability guard: at most a quarter of the rows, capped at 30."""

@@ -75,6 +75,12 @@ class ReductionMethod(Enum):
         return aliases[key]
 
 
+# methods that search the reduced dictionary, and methods that seed the
+# search from an overfit sketch (over the full dictionary for M2 only)
+_REDUCED_SEARCH = (ReductionMethod.M1, ReductionMethod.M3)
+_SKETCHED = (ReductionMethod.M2, ReductionMethod.M3, ReductionMethod.M4)
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """One identification stage: its search outcome and bookkeeping."""
@@ -86,10 +92,6 @@ class StageRecord:
     @property
     def bic(self) -> float:
         return self.outcome.best.bic
-
-    @property
-    def msse(self) -> float:
-        return self.outcome.best.msse
 
 
 class TableRow(NamedTuple):
@@ -121,15 +123,15 @@ class IdentificationReport:
         return self.chosen_stage.outcome.model
 
 
-def overfit_preselect(
-    dictionary: Dictionary, problem: RegressionProblem, size: int
-) -> tuple[list[Term], int]:
+def overfit_preselect(problem: RegressionProblem, size: int) -> tuple[list[Term], int]:
     """Terms of a deliberately overfit single-path model, as path seeds.
 
-    Runs one ERR-driven path with the term cap raised to ``size``; the
-    result is a cheap, likely superset-ish sketch of the relevant terms.
-    Returns the terms and the path's candidate-evaluation count.
+    Runs one ERR-driven path over ``problem.dictionary`` with the term cap
+    raised to ``size``; the result is a cheap, likely superset-ish sketch of
+    the relevant terms.  Returns the terms and the path's
+    candidate-evaluation count.
     """
+    dictionary = problem.dictionary
     if size > len(dictionary):
         raise ConfigError(
             f"overfit size {size} exceeds dictionary size {len(dictionary)}"
@@ -140,9 +142,10 @@ def overfit_preselect(
     return [dictionary[i] for i in path.term_indices], path.n_evaluated
 
 
-def _overfit_size(n_arx_terms: int, dictionary: Dictionary, problem, cfg: SearchConfig) -> int:
-    cap = cfg.max_terms or default_max_terms(len(dictionary), problem.n_rows)
-    return max(1, min(2 * n_arx_terms + 5, cap, len(dictionary)))
+def _overfit_size(n_arx_terms: int, problem: RegressionProblem, cfg: SearchConfig) -> int:
+    n_terms = len(problem.dictionary)
+    cap = cfg.max_terms or default_max_terms(n_terms, problem.n_rows)
+    return max(1, min(2 * n_arx_terms + 5, cap, n_terms))
 
 
 def identify(
@@ -186,9 +189,8 @@ def identify(
         )
         narx_evals = 0
         arx_model = arx_outcome.model
-        if method is ReductionMethod.NONE:
-            search_dict, preselect = d_full, None
-        else:
+        search_dict, preselect = d_full, None
+        if method is not ReductionMethod.NONE:
             if not arx_model.terms:
                 raise ConfigError(
                     "linear stage selected no lagged terms; "
@@ -197,19 +199,15 @@ def identify(
             d_reduced = reduce_dictionary(
                 arx_model.terms, spec.degree, spec.include_constant
             )
-            if method is ReductionMethod.M1:
-                search_dict, preselect = d_reduced, None
-            else:
-                overfit_dict = d_full if method is ReductionMethod.M2 else d_reduced
-                overfit_problem = build_problem(data, overfit_dict)
-                size = _overfit_size(
-                    arx_model.n_terms, overfit_dict, overfit_problem, cfg
+            if method in _REDUCED_SEARCH:
+                search_dict = d_reduced
+            if method in _SKETCHED:
+                overfit_problem = build_problem(
+                    data, d_full if method is ReductionMethod.M2 else d_reduced
                 )
                 seeds, narx_evals = overfit_preselect(
-                    overfit_dict, overfit_problem, size
-                )
-                search_dict = (
-                    d_reduced if method is ReductionMethod.M3 else d_full
+                    overfit_problem,
+                    _overfit_size(arx_model.n_terms, overfit_problem, cfg),
                 )
                 preselect = [t for t in seeds if t in search_dict] or None
 
@@ -224,7 +222,7 @@ def identify(
             notes.append("nonlinear stage returned the linear term set")
         elif narx_stage.bic < arx_stage.bic:
             chosen = "NARX"
-        if method in (ReductionMethod.M1, ReductionMethod.M3):
+        if method in _REDUCED_SEARCH:
             notes.append(
                 "reduced-dictionary search: term sets can differ from the "
                 "full search when the data is noisy"

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, SingularityError
-from .terms import Dictionary, Signal, Term
+from .terms import Dictionary, Term
 
 __all__ = ["IoData", "RegressionProblem", "build_problem", "least_squares", "term_columns"]
 
@@ -67,9 +67,8 @@ def term_columns(terms: Sequence[Term], u: np.ndarray, y: np.ndarray, offset: in
     cols = []
     for term in terms:
         c = np.ones(len(rows))
-        for f in term.factors:
-            x = y if f.signal is Signal.OUTPUT else u
-            c = c * x[rows - f.lag] ** f.exponent
+        for x, lag, exp in term.reads(y, u):
+            c = c * x[rows - lag] ** exp
         cols.append(c)
     return np.column_stack(cols) if cols else np.empty((len(rows), 0))
 

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, IdentificationError, SingularityError
 from .ofr import Criterion, SelectionPath, StopRule, back_substitute, ofr_select
 from .regression import IoData, RegressionProblem, build_problem, least_squares
-from .simulation import Model, StabilityVerdict, simulate_free_run, stability_probe
+from .simulation import PROBE_EPSILON, Model, StabilityVerdict, simulate_free_run, stability_probe
 from .terms import Dictionary, Term
 
 __all__ = [
@@ -65,19 +65,22 @@ class SearchConfig:
     ``epsilon`` is the stability probe's variance threshold, an absolute
     variance in output units: scaling ``y`` by ``c`` scales the probe
     variances by ``c**2`` and leaves ``epsilon`` as it is.  ``max_terms`` of
-    None uses the identifiability default.
+    None uses the identifiability default.  Out-of-range values raise
+    :class:`ConfigError`.
     """
 
     max_iterations: int = 10
-    epsilon: float = 1e-2
+    epsilon: float = PROBE_EPSILON
     criterion: Criterion = Criterion.PRESS
     max_terms: int | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_terms is not None and self.max_terms < 1:
+            raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +290,15 @@ def iterative_ofr(
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
     msse_floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
-    seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
-    seen_sets: set[frozenset[Term]] = set()
+    try:
+        # dictionary indices of the seed terms, in first-seen order
+        seeds = (
+            list(dict.fromkeys(dictionary.index(t) for t in preselect))
+            if preselect else range(len(dictionary))
+        )
+    except KeyError as exc:
+        raise ConfigError(f"preselect term not in dictionary: {exc}") from None
+    seen_sets: set[frozenset[int]] = set()
     pool = ModelPool()
     # forced-first index -> its entry (None: empty path); winner path ->
     # its pruned entry (None: nothing to prune)
@@ -313,14 +323,9 @@ def iterative_ofr(
 
     for iteration in range(cfg.max_iterations):
         iterations = iteration + 1
-        try:
-            seed_indices = [dictionary.index(t) for t in seeds]
-        except KeyError as exc:
-            raise ConfigError(f"preselect term not in dictionary: {exc}") from None
-
         iteration_best: PoolEntry | None = None
         iteration_best_key: tuple | None = None
-        for order, (seed, index) in enumerate(zip(seeds, seed_indices)):
+        for order, index in enumerate(seeds):
             if index not in scored:
                 scored[index] = score(
                     ofr_select(
@@ -329,7 +334,7 @@ def iterative_ofr(
                         forced_first=index,
                         max_terms=cfg.max_terms,
                     ),
-                    seed,
+                    dictionary[index],
                 )
             entry = scored[index]
             if entry is None or not entry.selectable:
@@ -366,16 +371,12 @@ def iterative_ofr(
         if incumbent_key is None or iteration_best_key[:2] < incumbent_key[:2]:
             incumbent, incumbent_key = iteration_best, iteration_best_key
 
-        term_set = frozenset(
-            dictionary[i] for i in iteration_best.path.term_indices
-        )
+        term_set = frozenset(iteration_best.path.term_indices)
         if term_set in seen_sets:
             converged = True
             break
         seen_sets.add(term_set)
-        seeds = list(
-            dict.fromkeys(dictionary[i] for i in iteration_best.path.term_indices)
-        )
+        seeds = iteration_best.path.term_indices
 
     if incumbent is None:
         raise IdentificationError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
 from .regression import IoData, term_columns
-from .terms import LagSpec, Signal, Term
+from .terms import LagSpec, Term
 
 __all__ = [
     "Model",
@@ -34,6 +34,8 @@ DIVERGENCE_LIMIT = 1e12
 
 PROBE_SAMPLES = 1000
 PROBE_SETTLE = 200
+# default post-settle variance threshold, absolute, in output units
+PROBE_EPSILON = 1e-2
 
 
 @dataclass(frozen=True)
@@ -170,12 +172,8 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     us = u.tolist()
     start = max(n_init, n_in)
     y = y_init.tolist() + [0.0] * (start - n_init)
-    # per term: its coefficient and (samples, lag, exponent) per factor,
-    # where samples is the list the factor reads (y grows in place)
-    terms = [
-        (coef, [(y if f.signal is Signal.OUTPUT else us, f.lag, f.exponent) for f in term.factors])
-        for coef, term in zip(model.coefficients, model.terms)
-    ]
+    # per term: its coefficient and its factors' reads (y grows in place)
+    terms = [(coef, term.reads(y, us)) for coef, term in zip(model.coefficients, model.terms)]
     bias = float(model.bias)
     settle = max(start, _constant_tail_start(u) + n_in)  # inputs all in the tail
     fill = math.nan
@@ -220,7 +218,7 @@ def predict_one_step(model: Model, data: IoData) -> np.ndarray:
     return out
 
 
-def stability_probe(model: Model, epsilon: float = 1e-2) -> StabilityVerdict:
+def stability_probe(model: Model, epsilon: float = PROBE_EPSILON) -> StabilityVerdict:
     """Constant-input probe: the model must settle, not grow.
 
     Simulates from zero initial conditions under ``u == 0`` and ``u == 1``

@@ -63,11 +63,9 @@ class Term:
     factors: tuple[Factor, ...] = ()
 
     @classmethod
-    def of(cls, *factors: Factor | tuple) -> "Term":
+    def of(cls, *factors: Factor) -> "Term":
         merged: dict[tuple[Signal, int], int] = {}
         for f in factors:
-            if not isinstance(f, Factor):
-                f = Factor(Signal(f[0]), int(f[1]), int(f[2]) if len(f) > 2 else 1)
             if f.lag < 1:
                 raise ConfigError(f"factor lag must be >= 1, got {f.lag}")
             if f.exponent < 1:
@@ -98,6 +96,11 @@ class Term:
     @property
     def max_lag(self) -> int:
         return max(self.max_output_lag, self.max_input_lag)
+
+    def reads(self, y, u) -> list[tuple]:
+        """``(samples, lag, exponent)`` per factor, ``samples`` being ``y`` or
+        ``u`` by the factor's signal: the one mapping from Signal to record."""
+        return [(y if f.signal is Signal.OUTPUT else u, f.lag, f.exponent) for f in self.factors]
 
     def sort_key(self) -> tuple:
         """Dictionary ordering: degree, then the expanded variable sequence.
@@ -210,16 +213,8 @@ class Dictionary:
             raise KeyError(f"term {term} not in dictionary") from None
 
     @property
-    def max_output_lag(self) -> int:
-        return max((t.max_output_lag for t in self.terms), default=0)
-
-    @property
-    def max_input_lag(self) -> int:
-        return max((t.max_input_lag for t in self.terms), default=0)
-
-    @property
     def max_lag(self) -> int:
-        return max(self.max_output_lag, self.max_input_lag)
+        return max((t.max_lag for t in self.terms), default=0)
 
     def strings(self) -> tuple[str, ...]:
         return tuple(str(t) for t in self.terms)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from narxid import LagSpec
+from narxid import LagSpec, predict_one_step, simulate_free_run
 from narxid.cli import main
 from narxid.dataio import ingest_csv, load_model
 
@@ -101,6 +101,26 @@ class TestIdentify:
         code = main(["identify", "--data", str(bench_csv), "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iterations", "0"),
+        ("--epsilon", "0"),
+        ("--epsilon", "nan"),
+        ("--max-terms", "-1"),
+    ])
+    def test_invalid_search_setting_exits_2(self, tmp_path, bench_csv, capsys, flag, value):
+        code = main([
+            "identify", "--data", str(bench_csv), "--train-end", "60",
+            "--out", str(tmp_path / "out"), flag, value,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_reduced_dictionary_note_in_model_table(self, tmp_path, bench_csv):
+        cfg = write_config(tmp_path, bench_csv)
+        assert main(["identify", "--config", str(cfg), "--method", "1"]) == 0
+        table = (tmp_path / "out" / "model_table.txt").read_text()
+        assert "\nnote: reduced-dictionary search: term sets can differ" in table
+
     def test_flag_overrides_config(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)
         out2 = tmp_path / "out2"
@@ -130,6 +150,36 @@ class TestSimulateAndValidate:
         rows = sim_out.read_text().splitlines()
         assert rows[0] == "t,measured,predicted"
         assert len(rows) == 401
+
+    def test_simulate_one_step_writes_predict_one_step(self, tmp_path, bench_csv, model_path):
+        sim_out = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--model", str(model_path), "--data", str(bench_csv),
+            "--out", str(sim_out), "--one-step",
+        ])
+        assert code == 0
+        written = ingest_csv(sim_out, u_column="measured", y_column="predicted")
+        expected = predict_one_step(load_model(model_path), ingest_csv(bench_csv))
+        assert written.y.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_simulate_divergence_warns_and_exits_0(self, tmp_path, bench_csv, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps({
+            "schema": "narxid-model/1",
+            "terms": ["y(t-1)", "u(t-1)"],
+            "coefficients": ["2", "1"],
+            "bias": "0",
+        }))
+        data = ingest_csv(bench_csv)
+        run = simulate_free_run(load_model(model_path), data.u, data.y[:1])
+        assert run.diverged_at is not None
+        code = main([
+            "simulate", "--model", str(model_path), "--data", str(bench_csv),
+            "--out", str(tmp_path / "sim.csv"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: simulation diverged at sample {run.diverged_at}\n"
 
     def test_simulate_insufficient_data_exits_3(self, tmp_path, model_path):
         tiny = tmp_path / "tiny.csv"

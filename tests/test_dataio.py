@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,11 @@ def reference_ingest_csv(path, u_column="u", y_column="y"):
                     ) from None
     if not u_vals:
         raise DataError(f"{path}: no data rows")
+    # non-finite cells are reported once every cell has parsed
+    for i, pair in enumerate(zip(u_vals, y_vals), start=2):
+        for col, x in zip((u_column, y_column), pair):
+            if not math.isfinite(x):
+                raise DataError(f"{path}: non-finite {col!r} cell at row {i}: {x}")
     return IoData(np.array(u_vals), np.array(y_vals))
 
 
@@ -102,6 +108,13 @@ class TestIngestCsv:
         with pytest.raises(DataError, match="row 3"):
             ingest_csv(p)
 
+    def test_non_finite_cell_names_file_column_and_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("t,u,y\n1,0.5,1.0\n\n2,0.25,nan\n3,inf,2.0\n")
+        with pytest.raises(DataError) as info:
+            ingest_csv(p)
+        assert str(info.value) == f"{p}: non-finite 'y' cell at row 3: nan"
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("t,input,y\n1,0.5,1.0\n")
@@ -125,6 +138,8 @@ class TestIngestCsv:
         't,u,y\n1,"",2\n',
         "t,u,y\n1,0.5,1.0\n2,abc,2.0\n",  # non-numeric cells
         "t,u,y\n1,nan,-inf\n2,1_000,0x10\n",
+        "t,u,y\n1,0.5,1.0\n\n2,-Infinity,NaN\n3,nan,1\n",  # non-finite cells
+        "t,u,y\n1,0.5,inf\n2,nan,1.0\n",
         "t,u,y\r\n1,0.5,1.0\r\n2,0.25,2.0\r\n",
         "",  # empty file
         "\n\n",

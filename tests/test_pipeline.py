@@ -57,7 +57,7 @@ class TestOverfitPreselect:
             build_linear_dictionary(LagSpec(2, 2, include_constant=False)), 2
         )
         problem = build_problem(data, d)
-        seeds, n_evaluated = overfit_preselect(d, problem, 1)
+        seeds, n_evaluated = overfit_preselect(problem, 1)
         assert len(seeds) == 1
         assert n_evaluated == len(d)  # one step scores every candidate
         assert str(seeds[0]) == "y(t-1)"  # dominant ERR term for this system
@@ -66,7 +66,7 @@ class TestOverfitPreselect:
         data = white_noise_benchmark(train=100)
         d = build_linear_dictionary(LagSpec(2, 2, include_constant=False))
         problem = build_problem(data, d)
-        seeds, _ = overfit_preselect(d, problem, len(d))
+        seeds, _ = overfit_preselect(problem, len(d))
         assert set(seeds) <= set(d.terms)
         assert len(seeds) >= 2
 
@@ -75,7 +75,7 @@ class TestOverfitPreselect:
         d = build_linear_dictionary(LagSpec(2, 2, include_constant=False))
         problem = build_problem(data, d)
         with pytest.raises(ConfigError):
-            overfit_preselect(d, problem, len(d) + 1)
+            overfit_preselect(problem, len(d) + 1)
 
     def test_sketch_contains_true_terms(self):
         # with a generous term budget the overfit sketch catches most of the
@@ -86,7 +86,7 @@ class TestOverfitPreselect:
         )
         with pytest.warns(UserWarning, match="usable rows"):
             problem = build_problem(data, d)
-        seeds, _ = overfit_preselect(d, problem, 15)
+        seeds, _ = overfit_preselect(problem, 15)
         assert len(TRUE_TERMS & set(seeds)) >= 5
 
 
