@@ -133,7 +133,18 @@ def _run_config_from_args(args) -> RunConfig:
         cfg.want_narx = False
     if not cfg.data:
         raise ConfigError("no input data file given (config key 'data' or --data)")
+    _check_max_lag(cfg.validation_max_lag, "validation_max_lag")
     return cfg
+
+
+def _check_max_lag(max_lag: int, name: str) -> None:
+    """Reject a negative residual-test lag before any data is read.
+
+    Whether a positive lag fits depends on the record, so that stays a
+    data error raised by :func:`residual_tests`.
+    """
+    if max_lag < 0:
+        raise ConfigError(f"{name} must be >= 0 (0 means the default), got {max_lag}")
 
 
 def _validate(model, data, max_lag: int) -> ValidationReport:
@@ -203,6 +214,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    _check_max_lag(args.max_lag, "--max-lag")
     model = load_model(args.model)
     data = ingest_csv(args.data, args.u_column, args.y_column)
     report = _validate(model, data, args.max_lag)

@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .ofr import Criterion
 from .pipeline import IdentificationReport, ReductionMethod
 from .regression import IoData
-from .search import SearchConfig
+from .search import SearchConfig, SearchResult
 from .simulation import Model
 from .terms import LagSpec, parse_term
 from .validation import ValidationReport
@@ -229,8 +229,8 @@ def apply_config_values(cfg: RunConfig, values: dict, source: str = "override") 
     return cfg
 
 
-def _stage_doc(stage) -> dict:
-    best = stage.outcome.best
+def _stage_doc(stage: SearchResult) -> dict:
+    best = stage.best
     return {
         "dictionary_size": len(stage.dictionary),
         "terms": list(best.model.term_strings()),
@@ -239,13 +239,11 @@ def _stage_doc(stage) -> dict:
         "bic": best.bic,
         "msse": best.msse,
         "stability": asdict(best.verdict),
-        "iterations": stage.outcome.iterations,
-        "converged": stage.outcome.converged,
+        "iterations": stage.iterations,
+        "converged": stage.converged,
         "n_evaluations": stage.n_evaluations,
-        "pool_size": len(stage.outcome.pool),
-        "pool_unstable": sum(
-            1 for e in stage.outcome.pool if not e.verdict.stable
-        ),
+        "pool_size": len(stage.pool),
+        "pool_unstable": sum(1 for e in stage.pool if not e.verdict.stable),
     }
 
 
@@ -323,9 +321,9 @@ def render_report(
     table_path = out / "model_table.txt"
     lines = [
         f"chosen: {report.chosen} "
-        f"(linear BIC {_format_float(report.arx.bic)}"
+        f"(linear BIC {_format_float(report.arx.best.bic)}"
         + (
-            f", nonlinear BIC {_format_float(report.narx.bic)})"
+            f", nonlinear BIC {_format_float(report.narx.best.bic)})"
             if report.narx is not None
             else ")"
         ),

@@ -33,7 +33,6 @@ from .ofr import Criterion, back_substitute, default_max_terms, ofr_select
 from .regression import IoData, RegressionProblem, build_problem
 from .search import SearchConfig, SearchResult, iterative_ofr
 from .terms import (
-    Dictionary,
     LagSpec,
     Term,
     build_linear_dictionary,
@@ -43,7 +42,6 @@ from .terms import (
 
 __all__ = [
     "ReductionMethod",
-    "StageRecord",
     "TableRow",
     "IdentificationReport",
     "identify",
@@ -75,23 +73,16 @@ class ReductionMethod(Enum):
         return aliases[key]
 
 
-# methods that search the reduced dictionary, and methods that seed the
-# search from an overfit sketch (over the full dictionary for M2 only)
-_REDUCED_SEARCH = (ReductionMethod.M1, ReductionMethod.M3)
-_SKETCHED = (ReductionMethod.M2, ReductionMethod.M3, ReductionMethod.M4)
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """One identification stage: its search outcome and bookkeeping."""
-
-    outcome: SearchResult
-    dictionary: Dictionary
-    n_evaluations: int
-
-    @property
-    def bic(self) -> float:
-        return self.outcome.best.bic
+# each method's plan: the dictionary it searches and the one its overfit
+# sketch runs over (None: no sketch, every member seeds a path); reduced is a
+# subset of full, so every sketch term is in the searched dictionary
+_PLANS = {
+    ReductionMethod.NONE: ("full", None),
+    ReductionMethod.M1: ("reduced", None),
+    ReductionMethod.M2: ("full", "full"),
+    ReductionMethod.M3: ("reduced", "reduced"),
+    ReductionMethod.M4: ("full", "reduced"),
+}
 
 
 class TableRow(NamedTuple):
@@ -105,8 +96,8 @@ class TableRow(NamedTuple):
 class IdentificationReport:
     """Everything a run produced: both stages, the choice, the term table."""
 
-    arx: StageRecord
-    narx: StageRecord | None
+    arx: SearchResult
+    narx: SearchResult | None
     chosen: str  # "ARX" | "NARX"
     table: tuple[TableRow, ...]
     lag_spec: LagSpec
@@ -115,12 +106,12 @@ class IdentificationReport:
     notes: tuple[str, ...] = ()
 
     @property
-    def chosen_stage(self) -> StageRecord:
+    def chosen_stage(self) -> SearchResult:
         return self.narx if self.chosen == "NARX" else self.arx
 
     @property
     def chosen_model(self):
-        return self.chosen_stage.outcome.model
+        return self.chosen_stage.model
 
 
 def overfit_preselect(problem: RegressionProblem, size: int) -> tuple[list[Term], int]:
@@ -170,71 +161,60 @@ def identify(
     linear_spec = replace(spec, degree=1)
     d_linear = build_linear_dictionary(linear_spec)
     t0 = time.perf_counter()
-    arx_outcome = iterative_ofr(d_linear, None, data, cfg)
+    arx = iterative_ofr(d_linear, None, data, cfg)
     timings["arx_s"] = time.perf_counter() - t0
-    arx_stage = StageRecord(arx_outcome, d_linear, arx_outcome.n_evaluations)
     logger.debug(
-        "linear stage: %d terms, bic %.3f",
-        arx_outcome.model.n_terms, arx_stage.bic,
+        "linear stage: %d terms, bic %.3f", arx.model.n_terms, arx.best.bic
     )
 
-    narx_stage = None
+    narx = None
     chosen = "ARX"
     if want_narx and spec.degree > 1:
         t0 = time.perf_counter()
-        d_full = expand_dictionary(
-            (t for t in d_linear if not t.is_constant),
-            spec.degree,
-            spec.include_constant,
-        )
-        narx_evals = 0
-        arx_model = arx_outcome.model
-        search_dict, preselect = d_full, None
-        if method is not ReductionMethod.NONE:
-            if not arx_model.terms:
+        dictionaries = {
+            "full": expand_dictionary(
+                (t for t in d_linear if not t.is_constant),
+                spec.degree,
+                spec.include_constant,
+            )
+        }
+        searched, sketched = _PLANS[method]
+        if "reduced" in (searched, sketched):
+            if not arx.model.terms:
                 raise ConfigError(
                     "linear stage selected no lagged terms; "
                     f"reduction method {method.value} cannot proceed"
                 )
-            d_reduced = reduce_dictionary(
-                arx_model.terms, spec.degree, spec.include_constant
+            dictionaries["reduced"] = reduce_dictionary(
+                arx.model.terms, spec.degree, spec.include_constant
             )
-            if method in _REDUCED_SEARCH:
-                search_dict = d_reduced
-            if method in _SKETCHED:
-                overfit_problem = build_problem(
-                    data, d_full if method is ReductionMethod.M2 else d_reduced
-                )
-                seeds, narx_evals = overfit_preselect(
-                    overfit_problem,
-                    _overfit_size(arx_model.n_terms, overfit_problem, cfg),
-                )
-                preselect = [t for t in seeds if t in search_dict] or None
+        preselect, sketch_evals = None, 0
+        if sketched is not None:
+            sketch_problem = build_problem(data, dictionaries[sketched])
+            preselect, sketch_evals = overfit_preselect(
+                sketch_problem,
+                _overfit_size(arx.model.n_terms, sketch_problem, cfg),
+            )
 
-        narx_outcome = iterative_ofr(search_dict, preselect, data, cfg)
-        narx_evals += narx_outcome.n_evaluations
+        narx = iterative_ofr(dictionaries[searched], preselect, data, cfg)
+        narx = replace(narx, n_evaluations=narx.n_evaluations + sketch_evals)
         timings["narx_s"] = time.perf_counter() - t0
-        narx_stage = StageRecord(narx_outcome, search_dict, narx_evals)
 
-        arx_set = frozenset(arx_model.terms)
-        narx_set = frozenset(narx_outcome.model.terms)
-        if narx_set == arx_set:
+        if frozenset(narx.model.terms) == frozenset(arx.model.terms):
             notes.append("nonlinear stage returned the linear term set")
-        elif narx_stage.bic < arx_stage.bic:
+        elif narx.best.bic < arx.best.bic:
             chosen = "NARX"
-        if method in _REDUCED_SEARCH:
+        if searched == "reduced":
             notes.append(
                 "reduced-dictionary search: term sets can differ from the "
                 "full search when the data is noisy"
             )
 
-    chosen_stage = narx_stage if chosen == "NARX" else arx_stage
-    table = _model_table(chosen_stage)
     return IdentificationReport(
-        arx=arx_stage,
-        narx=narx_stage,
+        arx=arx,
+        narx=narx,
         chosen=chosen,
-        table=table,
+        table=_model_table(narx if chosen == "NARX" else arx),
         lag_spec=spec,
         method=method,
         timings=timings,
@@ -242,9 +222,9 @@ def identify(
     )
 
 
-def _model_table(stage: StageRecord) -> tuple[TableRow, ...]:
+def _model_table(stage: SearchResult) -> tuple[TableRow, ...]:
     """Per-term metric rows for the stage winner, in dictionary order."""
-    path = stage.outcome.best.path
+    path = stage.best.path
     dictionary = stage.dictionary
     theta = back_substitute(path)
     rows = [

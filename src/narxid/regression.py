@@ -26,15 +26,10 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IoData:
-    """An aligned input-output record.
-
-    ``sample_period`` is metadata only (seconds); all computation is in
-    sample indices.
-    """
+    """An aligned input-output record, indexed by sample."""
 
     u: np.ndarray
     y: np.ndarray
-    sample_period: float = 1.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -45,8 +40,6 @@ class IoData:
             raise DataError(f"u and y lengths differ: {len(u)} vs {len(y)}")
         if not np.all(np.isfinite(u)) or not np.all(np.isfinite(y)):
             raise DataError("u and y must contain only finite values")
-        if self.sample_period <= 0:
-            raise DataError("sample_period must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
@@ -58,7 +51,7 @@ class IoData:
             raise DataError(
                 f"sample range [{start}, {stop}) outside record of length {len(self)}"
             )
-        return IoData(self.u[start:stop], self.y[start:stop], self.sample_period)
+        return IoData(self.u[start:stop], self.y[start:stop])
 
 
 def term_columns(terms: Sequence[Term], u: np.ndarray, y: np.ndarray, offset: int) -> np.ndarray:

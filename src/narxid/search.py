@@ -120,8 +120,12 @@ class ModelPool:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of :func:`iterative_ofr`."""
+    """Outcome of :func:`iterative_ofr`.
 
+    The pool's paths index into ``dictionary``, the one the search ran over.
+    """
+
+    dictionary: Dictionary
     pool: ModelPool
     best: PoolEntry
     iterations: int
@@ -190,7 +194,6 @@ def build_model(
 
 
 def _score_entry(
-    dictionary: Dictionary,
     path: SelectionPath,
     seed_term: Term | None,
     data: IoData,
@@ -201,7 +204,7 @@ def _score_entry(
 ) -> PoolEntry | None:
     if not path.steps:
         return None
-    model = build_model(dictionary, path, cfg.criterion, data_hash)
+    model = build_model(problem.dictionary, path, cfg.criterion, data_hash)
     verdict = stability_probe(model, cfg.epsilon)
     n = problem.n_rows
     k = len(path.steps)
@@ -315,7 +318,7 @@ def iterative_ofr(
         nonlocal n_evaluations
         n_evaluations += path.n_evaluated
         entry = _score_entry(
-            dictionary, path, seed_term, data, problem, cfg, msse_floor, data_hash
+            path, seed_term, data, problem, cfg, msse_floor, data_hash
         )
         if entry is not None:
             pool.entries.append(entry)
@@ -383,6 +386,6 @@ def iterative_ofr(
             "no stable candidate model in any iteration", pool=pool
         )
     return SearchResult(
-        pool, incumbent, iterations, n_evaluations, converged,
+        dictionary, pool, incumbent, iterations, n_evaluations, converged,
         tuple(iteration_bics),
     )

@@ -115,6 +115,18 @@ class TestIdentify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_validation_max_lag_exits_2_before_reading_data(self, tmp_path, capsys):
+        # the data file does not exist, so reading it would exit 3
+        cfg = write_config(tmp_path, tmp_path / "nope.csv")
+        code = main(["identify", "--config", str(cfg), "--validation-max-lag", "-1"])
+        assert code == 2
+        assert "validation_max_lag" in capsys.readouterr().err
+
+    def test_validation_max_lag_beyond_record_exits_3(self, tmp_path, bench_csv, capsys):
+        cfg = write_config(tmp_path, bench_csv, validation_max_lag=60)
+        assert main(["identify", "--config", str(cfg)]) == 3
+        assert "out of range" in capsys.readouterr().err
+
     def test_reduced_dictionary_note_in_model_table(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)
         assert main(["identify", "--config", str(cfg), "--method", "1"]) == 0
@@ -231,6 +243,19 @@ class TestSimulateAndValidate:
         assert set(summary["tests"]) == {
             "phi_ee", "phi_ue", "phi_e_eu", "phi_u2e", "phi_u2e2"
         }
+
+    def test_validate_max_lag_range(self, tmp_path, bench_csv, model_path, capsys):
+        def validate(model, max_lag):
+            return main([
+                "validate", "--model", str(model), "--data", str(bench_csv),
+                "--max-lag", max_lag, "--out", str(tmp_path / "val"),
+            ])
+
+        # the model file does not exist, so reading it would exit 3
+        assert validate(tmp_path / "nope.json", "-2") == 2
+        assert "--max-lag" in capsys.readouterr().err
+        assert validate(model_path, "400") == 3
+        assert "out of range" in capsys.readouterr().err
 
     def test_validate_matches_identify_correlations(self, tmp_path, bench_csv):
         # identify on the whole record validates on the same residuals that

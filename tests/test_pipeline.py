@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import narxid.pipeline
 from narxid import (
     ConfigError,
     IoData,
@@ -21,6 +22,8 @@ from narxid import (
     overfit_preselect,
     reduce_dictionary,
 )
+from narxid.cli import main
+from narxid.dataio import write_timeseries_csv
 
 
 def white_noise_benchmark(n=1000, seed=332, train=60):
@@ -36,6 +39,15 @@ def linear_noisy_data(seed=0, n=400, sigma=0.1):
     for t in range(2, n):
         y[t] = 1.6 * y[t - 1] - 0.81 * y[t - 2] + u[t - 1] + 0.5 * u[t - 2]
     return IoData(u, y + sigma * rng.normal(size=n))
+
+
+def constant_output_data():
+    # the output is a constant plus noise, so the linear stage keeps only
+    # the constant term and selects no lagged ones
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=120)
+    y = 5 + 0.1 * rng.normal(size=120)
+    return IoData(u, y)
 
 
 TRUE_TERMS = set(dc_motor_terms()[0])
@@ -97,7 +109,7 @@ class TestIdentify:
         )
         assert report.chosen == "ARX"
         assert report.narx is not None
-        assert report.arx.bic <= report.narx.bic or report.notes
+        assert report.arx.best.bic <= report.narx.best.bic or report.notes
 
     def test_benchmark_m3_recovers_structure(self):
         report = identify(
@@ -139,7 +151,7 @@ class TestIdentify:
                 method=method,
             )
             if report.chosen == "NARX":
-                assert report.narx.bic < report.arx.bic
+                assert report.narx.best.bic < report.arx.best.bic
 
     def test_degenerate_pipeline_equals_direct_search(self):
         # method NONE with a single iteration and full preselect reduces to
@@ -152,8 +164,8 @@ class TestIdentify:
             build_linear_dictionary(LagSpec(2, 2, include_constant=False)), 2
         )
         direct = iterative_ofr(d, None, data, cfg)
-        assert set(report.narx.outcome.model.terms) == set(direct.model.terms)
-        assert report.narx.outcome.best.bic == direct.best.bic
+        assert set(report.narx.model.terms) == set(direct.model.terms)
+        assert report.narx.best.bic == direct.best.bic
 
     def test_table_in_dictionary_order(self):
         report = identify(
@@ -192,6 +204,92 @@ class TestReductionErrors:
     def test_empty_linear_stage_blocks_reduction(self):
         with pytest.raises(ConfigError):
             reduce_dictionary([], 2)
+
+    def test_method_2_needs_no_lagged_linear_terms(self, tmp_path):
+        # only the methods that read the reduced dictionary need the linear
+        # model's lagged terms; M2 sketches and searches the full dictionary
+        data = constant_output_data()
+        spec = LagSpec(2, 2, 2, include_constant=True)
+        report = identify(data, spec, method=ReductionMethod.M2)
+        assert report.arx.model.terms == ()
+        assert report.narx is not None
+        for method in (ReductionMethod.M1, ReductionMethod.M3, ReductionMethod.M4):
+            with pytest.raises(ConfigError, match="no lagged terms"):
+                identify(data, spec, method=method)
+
+        csv_path = tmp_path / "flat.csv"
+        write_timeseries_csv(csv_path, data.u, data.y)
+        assert main([
+            "identify", "--data", str(csv_path), "--constant", "true",
+            "--method", "2", "--out", str(tmp_path / "out"),
+        ]) == 0
+
+
+class TestReductionPlans:
+    # README "Reduction methods": the dictionary each method searches and the
+    # one its overfit sketch runs over
+    PLANS = {
+        ReductionMethod.NONE: ("full", None),
+        ReductionMethod.M1: ("reduced", None),
+        ReductionMethod.M2: ("full", "full"),
+        ReductionMethod.M3: ("reduced", "reduced"),
+        ReductionMethod.M4: ("full", "reduced"),
+    }
+
+    @pytest.mark.parametrize("method", list(ReductionMethod))
+    def test_plan(self, monkeypatch, method):
+        # on case A the linear model keeps all four lagged variables, so the
+        # reduced dictionary equals the full one in value; the dictionaries
+        # are told apart by identity
+        calls = {"expand": [], "reduce": [], "sketch": [], "search": []}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append((args, result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(
+            narxid.pipeline, "expand_dictionary",
+            spy("expand", narxid.pipeline.expand_dictionary),
+        )
+        monkeypatch.setattr(
+            narxid.pipeline, "reduce_dictionary",
+            spy("reduce", narxid.pipeline.reduce_dictionary),
+        )
+        monkeypatch.setattr(
+            narxid.pipeline, "overfit_preselect",
+            spy("sketch", narxid.pipeline.overfit_preselect),
+        )
+        monkeypatch.setattr(
+            narxid.pipeline, "iterative_ofr",
+            spy("search", narxid.pipeline.iterative_ofr),
+        )
+        report = identify(
+            white_noise_benchmark(),
+            LagSpec(2, 2, 2, include_constant=False),
+            method=method,
+        )
+
+        searched, sketched = self.PLANS[method]
+        [(_, full)] = calls["expand"]
+        assert len(calls["reduce"]) == int("reduced" in (searched, sketched))
+        dictionaries = {"full": full}
+        if calls["reduce"]:
+            dictionaries["reduced"] = calls["reduce"][0][1]
+        assert report.narx.dictionary is dictionaries[searched]
+
+        (_, arx_search), (_, narx_search) = calls["search"]
+        sketch_evals = 0
+        if sketched is None:
+            assert calls["sketch"] == []
+        else:
+            [((problem, _), (_, sketch_evals))] = calls["sketch"]
+            assert problem.dictionary is dictionaries[sketched]
+            assert sketch_evals > 0
+        assert report.arx is arx_search
+        assert report.narx.n_evaluations == narx_search.n_evaluations + sketch_evals
 
 
 class TestBiasHandling:

@@ -261,7 +261,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
         for order, (seed, path) in enumerate(zip(seeds, paths)):
             n_evaluations += path.n_evaluated
             entry = _score_entry(
-                dictionary, path, seed, data, problem, cfg, msse_floor, data_hash
+                path, seed, data, problem, cfg, msse_floor, data_hash
             )
             if entry is None:
                 continue
@@ -282,7 +282,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
             if pruned is not None:
                 n_evaluations += pruned.n_evaluated
                 entry = _score_entry(
-                    dictionary, pruned, iteration_best.seed_term, data,
+                    pruned, iteration_best.seed_term, data,
                     problem, cfg, msse_floor, data_hash,
                 )
                 if entry is not None:
@@ -309,7 +309,8 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
     if incumbent is None:
         raise IdentificationError("no stable candidate model in any iteration", pool=pool)
     return SearchResult(
-        pool, incumbent, iterations, n_evaluations, converged, tuple(iteration_bics)
+        dictionary, pool, incumbent, iterations, n_evaluations, converged,
+        tuple(iteration_bics),
     )
 
 
