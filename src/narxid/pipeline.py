@@ -180,11 +180,6 @@ def identify(
         }
         searched, sketched = _PLANS[method]
         if "reduced" in (searched, sketched):
-            if not arx.model.terms:
-                raise ConfigError(
-                    "linear stage selected no lagged terms; "
-                    f"reduction method {method.value} cannot proceed"
-                )
             dictionaries["reduced"] = reduce_dictionary(
                 arx.model.terms, spec.degree, spec.include_constant
             )

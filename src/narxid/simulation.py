@@ -9,6 +9,7 @@ small variance instead of growing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
 from .regression import IoData, term_columns
-from .terms import LagSpec, Term
+from .terms import LagSpec, Signal, Term
 
 __all__ = [
     "Model",
@@ -143,6 +144,61 @@ def _is_fixed_point(y: list, n: int) -> bool:
     return v != 0.0 or all(math.copysign(1.0, x) == math.copysign(1.0, v) for x in window)
 
 
+# Most compiled free-run bodies kept at once; each is keyed by a model's
+# ordered term tuple.
+_BODY_CACHE_SIZE = 1024
+
+
+def _recursion_source(terms: tuple[Term, ...]) -> str:
+    """Source of the straight-line free-run loop for ``terms``, in order.
+
+    ``run(us, y, start, settle, b, c0, c1, ...)`` appends each computed
+    output to ``y`` and returns the fill value of the rest of the record
+    (NaN unless it reached a fixed point).  The text holds only integer
+    lags and exponents and fixed names; the bias ``b`` and the
+    coefficients ``c0 ...`` are arguments.  Output lags live in the locals
+    ``y1 ... yn`` (``y1`` is ``y(t-1)``), shifted each step; input lags are
+    read as ``us[t - k]``.  Terms are summed in order onto the bias, each
+    the left-to-right product of its factors, so every operation is the one
+    the term-by-term loop ran.
+    """
+    n_init = max((t.max_output_lag for t in terms), default=0)
+    lags = range(1, n_init + 1)
+    products = []
+    for term in terms:
+        reads = []
+        for f in term.factors:
+            x = f"y{f.lag}" if f.signal is Signal.OUTPUT else f"us[t - {f.lag}]"
+            reads.append(f"{x}**{f.exponent}" if f.exponent > 1 else x)
+        products.append(" * ".join(reads))
+    value = "".join(f" + c{i} * ({p})" for i, p in enumerate(products))
+    previous = "y1" if n_init else "y[t - 1]"
+    coefficients = "".join(f", c{i}" for i in range(len(terms)))
+    return "\n".join([
+        f"def run(us, y, start, settle, b{coefficients}):",
+        *(f"    y{k} = y[start - {k}]" for k in lags),
+        "    for t in range(start, len(us)):",
+        f"        v = b{value}",
+        "        if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:",
+        "            break",
+        "        y.append(v)",
+        f"        if t >= settle and v == {previous} and _is_fixed_point(y, {n_init}):",
+        "            return v",
+        *(f"        y{k} = y{k - 1}" for k in reversed(lags[1:])),
+        *(["        y1 = v"] if n_init else []),
+        "    return math.nan",
+        "",
+    ])
+
+
+@functools.lru_cache(maxsize=_BODY_CACHE_SIZE)
+def _compiled_recursion(terms: tuple[Term, ...]):
+    """The compiled ``run`` of :func:`_recursion_source`, one per term tuple."""
+    namespace = {}
+    exec(compile(_recursion_source(terms), "<narxid free run>", "exec"), globals(), namespace)
+    return namespace["run"]
+
+
 def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     """Recursively simulate ``model`` along the input record ``u``.
 
@@ -172,28 +228,12 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     us = u.tolist()
     start = max(n_init, n_in)
     y = y_init.tolist() + [0.0] * (start - n_init)
-    # per term: its coefficient and its factors' reads (y grows in place)
-    terms = [(coef, term.reads(y, us)) for coef, term in zip(model.coefficients, model.terms)]
-    bias = float(model.bias)
     settle = max(start, _constant_tail_start(u) + n_in)  # inputs all in the tail
-    fill = math.nan
+    run = _compiled_recursion(model.terms)
     try:
-        for t in range(start, len(us)):
-            v = bias
-            for coef, factors in terms:
-                p = 1.0
-                for samples, lag, exp in factors:
-                    x = samples[t - lag]
-                    p *= x**exp if exp > 1 else x
-                v += coef * p
-            if not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT:
-                break
-            y.append(v)
-            if t >= settle and v == y[t - 1] and _is_fixed_point(y, n_init):
-                fill = v
-                break
+        fill = run(us, y, start, settle, float(model.bias), *model.coefficients)
     except OverflowError:
-        pass  # float ** overflowed: that sample is infinite, a divergence
+        fill = math.nan  # float ** overflowed: that sample is infinite, a divergence
     out = np.full(len(us), fill)
     out[: len(y)] = y
     diverged_at = len(y) if len(y) < len(us) and math.isnan(fill) else None

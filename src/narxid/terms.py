@@ -99,7 +99,7 @@ class Term:
 
     def reads(self, y, u) -> list[tuple]:
         """``(samples, lag, exponent)`` per factor, ``samples`` being ``y`` or
-        ``u`` by the factor's signal: the one mapping from Signal to record."""
+        ``u`` by the factor's signal; the regression columns read through it."""
         return [(y if f.signal is Signal.OUTPUT else u, f.lag, f.exponent) for f in self.factors]
 
     def sort_key(self) -> tuple:

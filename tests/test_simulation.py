@@ -1,14 +1,19 @@
 """Free-run simulation, one-step prediction, and the stability probe."""
 
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from narxid import (
     ConfigError,
     Criterion,
+    Dictionary,
     InsufficientDataError,
     IoData,
     LagSpec,
@@ -25,8 +30,9 @@ from narxid import (
     simulate_free_run,
     stability_probe,
 )
-from narxid.search import build_model
-from narxid.simulation import DIVERGENCE_LIMIT
+from narxid import search, simulation
+from narxid.search import SearchConfig, _score_entry, build_model
+from narxid.simulation import DIVERGENCE_LIMIT, _compiled_recursion, _recursion_source
 
 
 def linear_model(a=0.5, b=1.0):
@@ -146,7 +152,71 @@ def random_model(rng):
     return Model(tuple(d[int(i)] for i in sorted(picks)), tuple(coefficients), bias=bias)
 
 
+@functools.lru_cache(maxsize=None)
+def lagged_dictionary(n_a: int, n_b: int, degree: int) -> Dictionary:
+    return expand_dictionary(build_linear_dictionary(LagSpec(n_a, n_b)), degree)
+
+
+@st.composite
+def free_run_cases(draw):
+    """A model up to LagSpec(4, 4, 3), its input record and initial outputs."""
+    n_a = draw(st.integers(0, 4))
+    n_b = draw(st.integers(0 if n_a else 1, 4))
+    d = lagged_dictionary(n_a, n_b, draw(st.integers(1, 3)))
+    picks = draw(st.lists(st.integers(0, len(d) - 1), min_size=1, max_size=6, unique=True))
+    coefficients = draw(st.lists(st.floats(-1.5, 1.5), min_size=len(picks), max_size=len(picks)))
+    bias = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+    model = Model(tuple(d[i] for i in picks), tuple(coefficients), bias=bias)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 300
+    kind = draw(st.sampled_from(["zeros", "ones", "noise", "noise turning constant"]))
+    if kind in ("zeros", "ones"):
+        return model, np.full(n, float(kind == "ones")), np.zeros(model.max_output_lag)
+    u = rng.normal(size=n)
+    if kind == "noise turning constant":
+        u[draw(st.integers(0, n - 1)):] = u[-1]
+    return model, u, rng.normal(size=model.max_output_lag)
+
+
+def input_only_case():
+    # no output lag: the fixed-point window is empty
+    u = np.random.default_rng(3).normal(size=200)
+    u[120:] = 0.25
+    model = Model((parse_term("u(t-1)"), parse_term("u(t-2)^2")), (0.5, -0.25), bias=0.1)
+    return model, u, np.zeros(0)
+
+
+def long_input_lag_case():
+    # input lag 3 > output lag 1: outputs 1 and 2 are zero-padded
+    u = np.random.default_rng(4).normal(size=200)
+    return Model((parse_term("y(t-1)"), parse_term("u(t-3)")), (0.5, 1.0)), u, np.array([0.7])
+
+
+def signed_zero_case():
+    # with bias -0.0, y(t) = -y(t-1) alternates 0.0 and -0.0
+    return Model((parse_term("y(t-1)"),), (-1.0,), bias=-0.0), np.zeros(50), np.array([0.0])
+
+
 class TestFreeRunMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=free_run_cases())
+    @example(case=input_only_case())
+    @example(case=long_input_lag_case())
+    @example(case=signed_zero_case())
+    def test_drawn_models_bit_for_bit(self, case):
+        assert_matches_reference(*case)
+
+    def test_input_only_model_settles(self):
+        run = assert_matches_reference(*input_only_case())
+        assert not run.diverged
+        assert len(set(run.output[122:])) == 1
+
+    def test_input_lag_beyond_output_lag_pads_zeros(self):
+        run = assert_matches_reference(*long_input_lag_case())
+        assert run.output[0] == 0.7
+        assert not np.any(run.output[1:3])
+        assert run.output[3] != 0.0
+
     def test_random_models_bit_for_bit(self):
         rng = np.random.default_rng(20240)
         n, tail = 600, 300
@@ -182,15 +252,63 @@ class TestFreeRunMatchesReference:
         assert run.output[-1] == pytest.approx(2.0)
 
     def test_signed_zero_cycle_is_not_a_fixed_point(self):
-        # with bias -0.0, y(t) = -y(t-1) alternates 0.0 and -0.0
-        m = Model((parse_term("y(t-1)"),), (-1.0,), bias=-0.0)
-        run = assert_matches_reference(m, np.zeros(50), [0.0])
+        run = assert_matches_reference(*signed_zero_case())
         assert np.signbit(run.output[1]) and not np.signbit(run.output[2])
 
     def test_power_overflow_is_divergence(self):
         m = Model((parse_term("u(t-1)^2"),), (1.0,))
         run = assert_matches_reference(m, np.full(10, 1e200), [])
         assert run.diverged_at == 1
+
+
+class TestGeneratedRecursion:
+    def test_source_holds_no_coefficient_text(self):
+        terms = (parse_term("y(t-1)"), parse_term("y(t-2)^2*u(t-1)"), parse_term("u(t-3)"))
+        model = Model(terms, (0.123456789, -0.5, 2.25), bias=0.987654321)
+        source = _recursion_source(model.terms)
+        assert "123456789" not in source and "987654321" not in source
+        # the only numbers are integer lags and exponents
+        assert re.findall(r"[\d.]*\d[.e][\d.e+-]*", source) == []
+        other = Model(terms, (-7.0, 1e-300, 3.5), bias=-0.0)
+        assert _recursion_source(other.terms) == source
+        assert _compiled_recursion(other.terms) is _compiled_recursion(model.terms)
+
+    def test_score_entry_compiles_one_body(self, monkeypatch):
+        u = np.random.default_rng(332).normal(size=200)
+        data = IoData(u, dc_motor_reference(u))
+        d = lagged_dictionary(2, 2, 2)
+        problem = build_problem(data, d)
+        path = ofr_select(problem, Criterion.PRESS, forced_first=0)
+        sources, runs = [], []
+
+        def counted(f, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulation, "_recursion_source", counted(_recursion_source, sources))
+        for module in (simulation, search):
+            monkeypatch.setattr(
+                module, "simulate_free_run", counted(simulate_free_run, runs)
+            )
+        _compiled_recursion.cache_clear()
+        entry = _score_entry(path, None, data, problem, SearchConfig(), 0.0, "")
+        assert entry.verdict.stable and math.isfinite(entry.msse)
+        assert len(runs) == 3  # two probe runs and the scoring run
+        assert len(sources) == 1
+
+    def test_term_order_gets_its_own_body(self):
+        model = dc_motor_model()
+        reversed_model = Model(model.terms[::-1], model.coefficients[::-1])
+        assert _recursion_source(reversed_model.terms) != _recursion_source(model.terms)
+        assert _compiled_recursion(reversed_model.terms) is not _compiled_recursion(model.terms)
+        u = np.random.default_rng(332).normal(size=1000)
+        y_init = dc_motor_reference(u)[:2]
+        forward = assert_matches_reference(model, u, y_init)
+        backward = assert_matches_reference(reversed_model, u, y_init)
+        # the two summation orders round differently
+        assert not np.array_equal(forward.output, backward.output)
 
 
 class TestPredictOneStep:
