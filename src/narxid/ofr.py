@@ -206,6 +206,8 @@ def ofr_select(
     resid = target.astype(float, copy=True)
     leverage = np.zeros(n_rows)
     available = np.ones(n_cols, dtype=bool)
+    # n x M floats for one step's PRESS numerators, then for its update
+    scratch = np.empty(n_rows * n_cols)
     n_evaluated = 0
     stop_reason = "max_terms"
 
@@ -232,12 +234,23 @@ def ofr_select(
                 scores = proj**2 / (ssm * yy)
                 best = int(idx[int(np.argmax(scores))])
             else:
-                gm = proj / ssm
-                deleted_num = resid[:, None] - wm * gm[None, :]
-                deleted_den = (1.0 - leverage)[:, None] - wm**2 / ssm[None, :]
+                # deleted residuals, numerators in scratch and denominators
+                # over wm: the elementwise operations of out-of-place
+                # expressions, without their n x M temporaries.  work[:, idx]
+                # gathers in Fortran order, so np.mean below sums each column
+                # pairwise; the numerators keep that layout to keep its bits.
+                deleted_num = np.multiply(
+                    wm, proj / ssm, out=scratch[: wm.size].reshape(wm.shape, order="F")
+                )
+                np.subtract(resid[:, None], deleted_num, out=deleted_num)
+                deleted_den = np.square(wm, out=wm)
+                deleted_den /= ssm
+                np.subtract((1.0 - leverage)[:, None], deleted_den, out=deleted_den)
                 rejected = (deleted_den < LEVERAGE_GUARD).any(axis=0)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    press = np.mean((deleted_num / deleted_den) ** 2, axis=0)
+                    deleted_num /= deleted_den
+                    deleted_num *= deleted_num
+                    press = np.mean(deleted_num, axis=0)
                 press[rejected] = np.inf
                 if not np.isfinite(press).any():
                     stop_reason = "all candidates leverage-rejected"
@@ -282,9 +295,17 @@ def ofr_select(
 
         rem = np.where(available)[0]
         if rem.size:
-            coeffs = (w @ work[:, rem]) / ws
-            acc[k, rem] = coeffs
-            work[:, rem] -= np.outer(w, coeffs)
+            # BLAS gemv and einsum round a column's sums differently
+            # depending on where it sits in the block, so the projections
+            # keep their layouts: gemv over the compacted remaining columns
+            # here, einsum over the full block and scoring over the
+            # compacted usable columns above.  The multiply-subtract is
+            # elementwise, with the same bits wherever a column sits, so it
+            # runs in place over the full block: row acc[k] is zero outside
+            # rem, and the selected columns, which lose a zero multiple of
+            # w, are never read again.
+            acc[k, rem] = (w @ work[:, rem]) / ws
+            work -= np.multiply(w[:, None], acc[k], out=scratch.reshape(work.shape))
 
         if criterion is Criterion.ERR and sum(s.err for s in steps) >= stop.err_total:
             stop_reason = "cumulative ERR threshold"

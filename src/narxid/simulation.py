@@ -75,15 +75,15 @@ class Model:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    @property
+    @functools.cached_property
     def max_output_lag(self) -> int:
         return max((t.max_output_lag for t in self.terms), default=0)
 
-    @property
+    @functools.cached_property
     def max_input_lag(self) -> int:
         return max((t.max_input_lag for t in self.terms), default=0)
 
-    @property
+    @functools.cached_property
     def max_lag(self) -> int:
         return max(self.max_output_lag, self.max_input_lag)
 

@@ -24,8 +24,22 @@ from narxid import (
     ofr_select,
     press_of,
 )
-from narxid.regression import RegressionProblem
-from narxid.terms import Dictionary, parse_term
+from narxid.benchmarks import Prbs, WhiteNoise, dc_motor_reference, generate_signal
+from narxid.ofr import (
+    _REORTH_RATIO,
+    LEVERAGE_GUARD,
+    PathStep,
+    SelectionPath,
+    default_max_terms,
+)
+from narxid.regression import RANK_TOL, IoData, RegressionProblem, build_problem
+from narxid.terms import (
+    Dictionary,
+    LagSpec,
+    build_linear_dictionary,
+    expand_dictionary,
+    parse_term,
+)
 
 
 def fake_problem(phi, target):
@@ -308,3 +322,266 @@ class TestBackSubstitute:
         fitted_path = phi[:, list(path.term_indices)] @ theta
         fitted_direct = phi[:, list(path.term_indices)] @ direct
         assert_allclose(fitted_path, fitted_direct, rtol=1e-10, atol=1e-12)
+
+
+def reference_ofr_select(
+    problem: RegressionProblem,
+    criterion: Criterion = Criterion.PRESS,
+    forced_first: int | None = None,
+    max_terms: int | None = None,
+    stop: StopRule = StopRule(),
+) -> SelectionPath:
+    """The OFR kernel that updates the candidates through a fancy-indexed
+    write-back, ``work[:, rem] -= np.outer(w, coeffs)``.
+
+    ``ofr_select`` must agree with it bit for bit: every step's term, ERR,
+    PRESS and ``g``, the triangular record, the residual energy, the stop
+    reason and the evaluation count.
+    """
+    phi = problem.phi
+    target = problem.target
+    n_rows, n_cols = phi.shape
+    if n_cols == 0:
+        return SelectionPath((), np.empty((0, 0)), float(target @ target),
+                             float(target @ target), "empty dictionary", 0)
+    if max_terms is None:
+        max_terms = default_max_terms(n_cols, n_rows)
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
+    if forced_first is not None and not (0 <= forced_first < n_cols):
+        raise ValueError(f"forced_first index {forced_first} out of range")
+
+    work = phi.astype(float, copy=True)  # candidates, orthogonalized in place
+    orig_ss = np.einsum("ij,ij->j", phi, phi)
+    yy = float(target @ target)
+
+    selected: list[int] = []
+    w_cols: list[np.ndarray] = []
+    w_ss: list[float] = []
+    steps: list[PathStep] = []
+    # acc[i, c]: coefficient of the i-th selected orthogonal column in the
+    # running expansion of candidate column c (the triangular record).
+    acc = np.zeros((max_terms, n_cols))
+    resid = target.astype(float, copy=True)
+    leverage = np.zeros(n_rows)
+    available = np.ones(n_cols, dtype=bool)
+    n_evaluated = 0
+    stop_reason = "max_terms"
+
+    while len(selected) < max_terms:
+        cand_ss = np.einsum("ij,ij->j", work, work)
+        usable = available & (cand_ss > RANK_TOL * orig_ss)
+        if not usable.any():
+            stop_reason = "no usable candidates (rank tolerance)"
+            break
+
+        if not selected and forced_first is not None:
+            if not usable[forced_first]:
+                stop_reason = "forced first term is rank-deficient"
+                break
+            best = forced_first
+        else:
+            idx = np.where(usable)[0]
+            n_evaluated += len(idx)
+            wm = work[:, idx]
+            ssm = cand_ss[idx]
+            proj = resid @ wm
+            if criterion is Criterion.ERR:
+                # resid.w equals target.w for columns orthogonal to the span
+                scores = proj**2 / (ssm * yy)
+                best = int(idx[int(np.argmax(scores))])
+            else:
+                gm = proj / ssm
+                deleted_num = resid[:, None] - wm * gm[None, :]
+                deleted_den = (1.0 - leverage)[:, None] - wm**2 / ssm[None, :]
+                rejected = (deleted_den < LEVERAGE_GUARD).any(axis=0)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    press = np.mean((deleted_num / deleted_den) ** 2, axis=0)
+                press[rejected] = np.inf
+                if not np.isfinite(press).any():
+                    stop_reason = "all candidates leverage-rejected"
+                    break
+                j = int(np.argmin(press))
+                if (
+                    stop.press_first_increase
+                    and steps
+                    and press[j] > steps[-1].ms_press
+                ):
+                    stop_reason = "PRESS increase"
+                    break
+                best = int(idx[j])
+
+        k = len(selected)
+        w = work[:, best].copy()
+        ws = float(w @ w)
+        if ws * _REORTH_RATIO**2 < orig_ss[best]:
+            # norm collapsed; one re-orthogonalization pass against the
+            # selected columns, folding the corrections into the record
+            for i in range(k):
+                c = float(w_cols[i] @ w) / w_ss[i]
+                w -= c * w_cols[i]
+                acc[i, best] += c
+            ws = float(w @ w)
+
+        g = float(resid @ w) / ws
+        err = float(w @ target) ** 2 / (ws * yy)
+        resid = resid - g * w
+        leverage = leverage + w**2 / ws
+        denom = 1.0 - leverage
+        if np.all(denom >= LEVERAGE_GUARD):
+            ms_press = float(np.mean((resid / denom) ** 2))
+        else:
+            ms_press = float("inf")
+
+        selected.append(best)
+        w_cols.append(w)
+        w_ss.append(ws)
+        steps.append(PathStep(best, err, ms_press, g))
+        available[best] = False
+
+        rem = np.where(available)[0]
+        if rem.size:
+            coeffs = (w @ work[:, rem]) / ws
+            acc[k, rem] = coeffs
+            work[:, rem] -= np.outer(w, coeffs)
+
+        if criterion is Criterion.ERR and sum(s.err for s in steps) >= stop.err_total:
+            stop_reason = "cumulative ERR threshold"
+            break
+
+    k = len(selected)
+    triangular = np.eye(k)
+    for j in range(k):
+        triangular[:j, j] = acc[:j, selected[j]]
+    residual_ss = float(resid @ resid)
+    return SelectionPath(
+        tuple(steps), triangular, residual_ss, yy, stop_reason, n_evaluated
+    )
+
+
+def path_bits(path):
+    """Everything a path records, floats as integers so -0.0 and 0.0 differ."""
+    steps = [
+        (s.term_index, *np.array([s.err, s.ms_press, s.g]).view(np.int64).tolist())
+        for s in path.steps
+    ]
+    return (
+        steps,
+        path.triangular.shape,
+        path.triangular.view(np.int64).tolist(),
+        np.array([path.residual_ss, path.target_ss]).view(np.int64).tolist(),
+        path.stop_reason,
+        path.n_evaluated,
+    )
+
+
+def assert_matches_reference(problem, criterion, **kwargs):
+    ours = ofr_select(problem, criterion, **kwargs)
+    assert path_bits(ours) == path_bits(reference_ofr_select(problem, criterion, **kwargs))
+    return ours
+
+
+def noise_free_cubic_problem():
+    """The DC motor's noise-free response over a degree-3 dictionary with a
+    constant (LagSpec(2, 2), 35 candidates, 158 rows)."""
+    u = generate_signal(WhiteNoise(length=160, seed=332))
+    d = expand_dictionary(build_linear_dictionary(LagSpec(2, 2)), 3, include_constant=True)
+    return build_problem(IoData(u, dc_motor_reference(u)), d)
+
+
+class TestOfrMatchesReference:
+    """``ofr_select`` updates the candidates at full width; every recorded
+    bit equals the fancy-indexed write-back kernel's."""
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_every_forced_first_on_noise_free_cubic(self, criterion):
+        problem = noise_free_cubic_problem()
+        reasons = set()
+        for first in range(problem.phi.shape[1]):
+            reasons.add(assert_matches_reference(problem, criterion, forced_first=first).stop_reason)
+        assert reasons - {"max_terms"}  # paths stop on the criterion too
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_every_forced_first_past_the_exact_fit(self, criterion):
+        # after the exact fit every score is rounding noise, so a last-bit
+        # change in any candidate's norm or projection changes the path
+        problem = noise_free_cubic_problem()
+        never = StopRule(err_total=2.0, press_first_increase=False)
+        for first in range(problem.phi.shape[1]):
+            assert_matches_reference(problem, criterion, forced_first=first, stop=never)
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_duplicated_column_is_available_but_not_usable(self, criterion):
+        rng = np.random.default_rng(40)
+        phi = rng.normal(size=(60, 8))
+        phi[:, 5] = phi[:, 2]
+        target = phi[:, 2] - 0.5 * phi[:, 6] + 0.1 * rng.normal(size=60)
+        problem = fake_problem(phi, target)
+        for first in (2, 5, None):
+            path = assert_matches_reference(
+                problem, criterion, forced_first=first, max_terms=6,
+                stop=StopRule(press_first_increase=False),
+            )
+            assert len(set(path.term_indices) & {2, 5}) == 1
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_every_forced_first_on_binary_prbs(self, criterion):
+        # with u in {0, 1}, u(t-k)^2 equals u(t-k): PRESS and ERR scores of
+        # such twins differ only in the last bits, which the order of every
+        # sum decides
+        u = generate_signal(Prbs(length=400, levels=(0.0, 1.0), hold=5, seed=332))
+        d = expand_dictionary(build_linear_dictionary(LagSpec(2, 2)), 2)
+        problem = build_problem(IoData(u, dc_motor_reference(u)), d)
+        for first in range(len(d)):
+            assert_matches_reference(problem, criterion, forced_first=first)
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_near_parallel_columns_reorthogonalize(self, criterion):
+        # column 0 keeps ~3e-5 of its norm against column 1: the
+        # re-orthogonalization branch
+        rng = np.random.default_rng(1)
+        base = rng.normal(size=50)
+        pert = rng.normal(size=50)
+        pert -= (pert @ base) / (base @ base) * base
+        pert *= 3e-5 * np.linalg.norm(base) / np.linalg.norm(pert)
+        phi = np.column_stack([base, base + pert, rng.normal(size=(50, 4))])
+        target = phi[:, 0] + 4e4 * pert + 0.7 * phi[:, 2]
+        for first in (0, 1):
+            path = assert_matches_reference(
+                fake_problem(phi, target), criterion, forced_first=first, max_terms=3,
+                stop=StopRule(press_first_increase=False),
+            )
+            W = orthogonal_columns(path, phi)
+            kept = np.einsum("ij,ij->j", W, W) / np.einsum("ij,ij->j", phi, phi)[list(path.term_indices)]
+            assert kept.min() * _REORTH_RATIO**2 < 1.0
+
+    def test_interpolating_fit_trips_leverage_guard(self):
+        rng = np.random.default_rng(41)
+        phi = rng.normal(size=(8, 12))
+        target = rng.normal(size=8)
+        path = assert_matches_reference(
+            fake_problem(phi, target), Criterion.PRESS, max_terms=8,
+            stop=StopRule(press_first_increase=False),
+        )
+        assert path.stop_reason == "all candidates leverage-rejected"
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_max_terms_cap(self, criterion):
+        rng = np.random.default_rng(42)
+        phi = rng.normal(size=(80, 20))
+        target = phi[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=80)
+        for cap in (1, 4):
+            path = assert_matches_reference(fake_problem(phi, target), criterion, max_terms=cap)
+            assert path.stop_reason == "max_terms" and len(path.steps) == cap
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_press_without_first_increase_stop(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        phi = rng.normal(size=(70, 24))
+        target = phi[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=70)
+        path = assert_matches_reference(
+            fake_problem(phi, target), Criterion.PRESS,
+            stop=StopRule(press_first_increase=False),
+        )
+        assert path.stop_reason == "max_terms"
+        assert len(path.steps) == default_max_terms(24, 70)

@@ -68,6 +68,19 @@ class TestModel:
         assert m.max_input_lag == 1
         assert m.max_lag == 2
 
+    @given(case=st.integers(0, 2**32 - 1).map(lambda s: random_model(np.random.default_rng(s))))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_lags_equal_factor_walk(self, case):
+        factors = [f for t in case.terms for f in t.factors]
+        walk_y = max((f.lag for f in factors if f.signal is Signal.OUTPUT), default=0)
+        walk_u = max((f.lag for f in factors if f.signal is Signal.INPUT), default=0)
+        for _ in range(2):  # first read fills the cache, second reads it
+            assert (case.max_output_lag, case.max_input_lag, case.max_lag) == (
+                walk_y, walk_u, max(walk_y, walk_u)
+            )
+        twin = Model(case.terms, case.coefficients, bias=case.bias)
+        assert twin == case and hash(twin) == hash(case)
+
 
 class TestSimulateFreeRun:
     def test_pure_delay_holds_constant(self):
