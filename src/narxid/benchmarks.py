@@ -101,26 +101,28 @@ class WhiteNoise:
             raise ConfigError("signal length must be >= 1")
 
 
+# the multitone's (amplitude, angular frequency in rad/s) pairs, summed in
+# this order and then scaled
+MULTITONE_TONES = ((4.0, math.pi), (1.2, 4 * math.pi), (1.5, 8 * math.pi), (0.5, 6 * math.pi))
+MULTITONE_SCALE = 0.2
+
+
 @dataclass(frozen=True)
 class Multitone:
-    """Sum of sinusoids sampled at ``k * sample_period`` for k = 1..length.
+    """The sum of :data:`MULTITONE_TONES`, scaled by :data:`MULTITONE_SCALE`
+    and sampled at ``k * sample_period`` for k = 1..length.
 
-    ``frequencies`` are angular (rad/s).  An integer sample period makes
-    every tone at a multiple of pi vanish identically; the generator warns
-    when the produced signal is numerically zero.
+    An integer sample period makes every tone at a multiple of pi vanish
+    identically; the generator warns when the produced signal is
+    numerically zero.
     """
 
     length: int
-    amplitudes: tuple[float, ...] = (4.0, 1.2, 1.5, 0.5)
-    frequencies: tuple[float, ...] = (math.pi, 4 * math.pi, 8 * math.pi, 6 * math.pi)
-    scale: float = 0.2
     sample_period: float = 0.01
 
     def __post_init__(self):
         if self.length < 1:
             raise ConfigError("signal length must be >= 1")
-        if len(self.amplitudes) != len(self.frequencies):
-            raise ConfigError("amplitudes and frequencies must pair up")
         if self.sample_period <= 0:
             raise ConfigError("sample_period must be positive")
 
@@ -152,10 +154,10 @@ def generate_signal(spec: SignalSpec) -> np.ndarray:
     if isinstance(spec, Multitone):
         t = np.arange(1, spec.length + 1) * spec.sample_period
         u = np.zeros(spec.length)
-        for a, w in zip(spec.amplitudes, spec.frequencies):
+        for a, w in MULTITONE_TONES:
             u += a * np.sin(w * t)
-        u *= spec.scale
-        if np.max(np.abs(u)) < 1e-12 and spec.scale * sum(map(abs, spec.amplitudes)) > 0:
+        u *= MULTITONE_SCALE
+        if np.max(np.abs(u)) < 1e-12:
             warnings.warn(
                 "multitone signal is numerically zero; with an integer "
                 "sample period every tone at a multiple of pi degenerates",

@@ -65,22 +65,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identify", help="run the identification pipeline")
     p_id.add_argument("--config", help="flat key=value config file")
+    # RunConfig fields: apply_config_values converts and checks the strings
     p_id.add_argument("--data", help="input CSV (overrides config)")
     p_id.add_argument("--u-column", dest="u_column")
     p_id.add_argument("--y-column", dest="y_column")
-    p_id.add_argument("--train-start", dest="train_start", type=int)
-    p_id.add_argument("--train-end", dest="train_end", type=int)
-    p_id.add_argument("--na", dest="n_a", type=int)
-    p_id.add_argument("--nb", dest="n_b", type=int)
-    p_id.add_argument("--degree", type=int)
-    p_id.add_argument("--constant", dest="include_constant", choices=["true", "false"])
-    p_id.add_argument("--criterion", choices=["press", "err"])
-    p_id.add_argument("--method", choices=["none", "1", "2", "3", "4"])
+    p_id.add_argument("--train-start", dest="train_start")
+    p_id.add_argument("--train-end", dest="train_end")
+    p_id.add_argument("--na", dest="n_a")
+    p_id.add_argument("--nb", dest="n_b")
+    p_id.add_argument("--degree")
+    p_id.add_argument("--constant", dest="include_constant", help="true/false, yes/no or 1/0")
+    p_id.add_argument("--criterion", help="press or err")
+    p_id.add_argument("--method", help="none, m1-m4 or 0-4")
     p_id.add_argument("--arx-only", action="store_true", help="skip the nonlinear stage")
-    p_id.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_id.add_argument("--epsilon", type=float)
-    p_id.add_argument("--max-terms", dest="max_terms", type=int)
-    p_id.add_argument("--validation-max-lag", dest="validation_max_lag", type=int)
+    p_id.add_argument("--max-iterations", dest="max_iterations")
+    p_id.add_argument("--epsilon")
+    p_id.add_argument("--max-terms", dest="max_terms")
+    p_id.add_argument("--validation-max-lag", dest="validation_max_lag")
     p_id.add_argument("--out", dest="output_dir")
 
     p_sim = sub.add_parser("simulate", help="free-run a saved model over a data file")
@@ -159,6 +160,14 @@ def _validate(model, data, max_lag: int) -> ValidationReport:
 
 def _cmd_identify(args) -> int:
     run = _run_config_from_args(args)
+    spec = run.lag_spec()
+    method = run.method_enum()
+    search_cfg = SearchConfig(
+        max_iterations=run.max_iterations,
+        epsilon=run.epsilon,
+        criterion=run.criterion_enum(),
+        max_terms=run.max_terms or None,
+    )
     data = ingest_csv(run.data, run.u_column, run.y_column)
     start = run.train_start
     end = run.train_end or len(data)
@@ -167,18 +176,8 @@ def _cmd_identify(args) -> int:
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
         )
     train = data.slice(start, end)
-    search_cfg = SearchConfig(
-        max_iterations=run.max_iterations,
-        epsilon=run.epsilon,
-        criterion=run.criterion_enum(),
-        max_terms=run.max_terms or None,
-    )
     report = identify(
-        train,
-        run.lag_spec(),
-        method=run.method_enum(),
-        cfg=search_cfg,
-        want_narx=run.want_narx,
+        train, spec, method=method, cfg=search_cfg, want_narx=run.want_narx
     )
     model = report.chosen_model
     validation = _validate(model, train, run.validation_max_lag)

@@ -201,8 +201,9 @@ def ofr_select(
     w_ss: list[float] = []
     steps: list[PathStep] = []
     # acc[i, c]: coefficient of the i-th selected orthogonal column in the
-    # running expansion of candidate column c (the triangular record).
-    acc = np.zeros((max_terms, n_cols))
+    # running expansion of candidate column c (the triangular record); a
+    # path selects at most n_cols terms, whatever max_terms says.
+    acc = np.zeros((min(max_terms, n_cols), n_cols))
     resid = target.astype(float, copy=True)
     leverage = np.zeros(n_rows)
     available = np.ones(n_cols, dtype=bool)

@@ -4,7 +4,7 @@ One iteration runs an OFR path per seed term, turning each path into a
 candidate model; candidates are screened by the constant-input stability
 probe, scored by BIC on the mean squared free-run error over the training
 record, and the winner's terms become the next iteration's seed set.  The
-incumbent best across iterations is returned, so the result can only improve
+best of the iterations' winners is returned, so the result can only improve
 as iterations proceed.  Iterations end when the winning term set repeats or
 the iteration cap is reached.
 
@@ -278,6 +278,12 @@ def _exact_fit_prune(
     )
 
 
+def _rank(entry: PoolEntry) -> tuple[float, int]:
+    """BIC, then fewer terms: ``min`` keeps the first of equals, so a full
+    tie goes to the earlier seed or iteration."""
+    return entry.bic, entry.model.n_terms
+
+
 def iterative_ofr(
     dictionary: Dictionary,
     preselect: Sequence[Term] | None,
@@ -301,91 +307,67 @@ def iterative_ofr(
         )
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
-    seen_sets: set[frozenset[int]] = set()
-    pool = ModelPool()
-    # forced-first index -> its entry (None: empty path); winner path ->
-    # its pruned entry (None: nothing to prune)
-    scored: dict[int, PoolEntry | None] = {}
-    pruned_of: dict[tuple[int, ...], PoolEntry | None] = {}
-    incumbent: PoolEntry | None = None
-    incumbent_key: tuple | None = None
-    n_evaluations = 0
-    iteration_bics: list[float] = []
+    # The candidate table: forced-first index -> its entry (None: empty
+    # path), winner path -> its pruned entry (None: nothing to prune).  Its
+    # entries, in the order they were computed, are the pool.
+    table: dict[int | tuple[int, ...], PoolEntry | None] = {}
+    winners: list[PoolEntry] = []
     converged = False
-    iterations = 0
 
-    def score(path: SelectionPath, seed_term: Term) -> PoolEntry | None:
-        nonlocal n_evaluations
-        n_evaluations += path.n_evaluated
-        entry = _score_entry(
-            path, seed_term, data, problem, cfg, msse_floor, data_hash
-        )
-        if entry is not None:
-            pool.entries.append(entry)
-        return entry
-
-    for iteration in range(cfg.max_iterations):
-        iterations = iteration + 1
-        iteration_best: PoolEntry | None = None
-        iteration_best_key: tuple | None = None
-        for order, index in enumerate(seeds):
-            if index not in scored:
-                scored[index] = score(
-                    ofr_select(
-                        problem,
-                        criterion=cfg.criterion,
-                        forced_first=index,
-                        max_terms=cfg.max_terms,
-                    ),
-                    dictionary[index],
+    for iterations in range(1, cfg.max_iterations + 1):
+        for index in seeds:
+            if index not in table:
+                path = ofr_select(
+                    problem,
+                    criterion=cfg.criterion,
+                    forced_first=index,
+                    max_terms=cfg.max_terms,
                 )
-            entry = scored[index]
-            if entry is None or not entry.selectable:
-                continue
-            key = (entry.bic, entry.model.n_terms, order)
-            if iteration_best_key is None or key < iteration_best_key:
-                iteration_best, iteration_best_key = entry, key
-
-        if iteration_best is None:
-            logger.debug("iteration %d produced no stable model", iteration)
+                table[index] = _score_entry(
+                    path, dictionary[index], data, problem, cfg, msse_floor, data_hash
+                )
+        ranked = [
+            e for e in (table[i] for i in seeds) if e is not None and e.selectable
+        ]
+        if not ranked:
+            logger.debug("iteration %d produced no stable model", iterations - 1)
             break
+        winner = min(ranked, key=_rank)
 
-        if iteration_best.msse <= msse_floor:
-            winner = iteration_best.path.term_indices
-            if winner not in pruned_of:
+        if winner.msse <= msse_floor:
+            key = winner.path.term_indices
+            if key not in table:
                 pruned = _exact_fit_prune(
-                    problem, iteration_best.path, cfg.criterion, msse_floor
+                    problem, winner.path, cfg.criterion, msse_floor
                 )
-                pruned_of[winner] = (
-                    None if pruned is None else score(pruned, iteration_best.seed_term)
+                table[key] = None if pruned is None else _score_entry(
+                    pruned, winner.seed_term, data, problem, cfg, msse_floor,
+                    data_hash,
                 )
-            entry = pruned_of[winner]
-            if (
-                entry is not None
-                and entry.selectable
-                and entry.bic <= iteration_best.bic
-            ):
-                iteration_best = entry
-                iteration_best_key = (
-                    entry.bic, entry.model.n_terms, iteration_best_key[2]
-                )
+            entry = table[key]
+            if entry is not None and entry.selectable and entry.bic <= winner.bic:
+                winner = entry
 
-        iteration_bics.append(iteration_best.bic)
-        if incumbent_key is None or iteration_best_key[:2] < incumbent_key[:2]:
-            incumbent, incumbent_key = iteration_best, iteration_best_key
-
-        term_set = frozenset(iteration_best.path.term_indices)
-        if term_set in seen_sets:
-            converged = True
+        term_set = set(winner.path.term_indices)
+        converged = any(set(w.path.term_indices) == term_set for w in winners)
+        winners.append(winner)
+        if converged:
             break
-        seen_sets.add(term_set)
-        seeds = iteration_best.path.term_indices
+        seeds = winner.path.term_indices
 
-    if incumbent is None:
+    pool = ModelPool([e for e in table.values() if e is not None])
+    if not winners:
         raise IdentificationError(
             "no stable candidate model in any iteration", pool=pool
         )
+    # an empty forced path evaluates nothing (its first step stops before
+    # any scoring), so the pool's paths hold every evaluation made
     return SearchResult(
-        dictionary, pool, incumbent, iterations, n_evaluations, converged,
-        tuple(iteration_bics),
+        dictionary,
+        pool,
+        min(winners, key=_rank),
+        iterations,
+        sum(e.path.n_evaluated for e in pool),
+        converged,
+        tuple(w.bic for w in winners),
     )

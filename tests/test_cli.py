@@ -106,6 +106,8 @@ class TestIdentify:
         ("--epsilon", "0"),
         ("--epsilon", "nan"),
         ("--max-terms", "-1"),
+        ("--method", "9"),
+        ("--na", "x"),
     ])
     def test_invalid_search_setting_exits_2(self, tmp_path, bench_csv, capsys, flag, value):
         code = main([
@@ -114,6 +116,42 @@ class TestIdentify:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_max_terms_is_capped_by_the_dictionary(self, tmp_path, bench_csv):
+        code = main([
+            "identify", "--data", str(bench_csv), "--train-end", "60",
+            "--out", str(tmp_path / "out"), "--max-terms", "1000000000",
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize("flag, value, field, want", [
+        ("--method", "m2", "method", "m2"),
+        ("--constant", "yes", "include_constant", True),
+        ("--criterion", "PRESS", "criterion", "press"),
+        ("--criterion", "ERR", "criterion", "err"),
+    ])
+    def test_flags_take_the_config_file_strings(
+        self, tmp_path, bench_csv, flag, value, field, want
+    ):
+        out = tmp_path / "out"
+        code = main([
+            "identify", "--data", str(bench_csv), "--train-end", "60",
+            "--out", str(out), flag, value,
+        ])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        seen = {
+            "method": doc["method"],
+            "include_constant": doc["lag_spec"]["include_constant"],
+            "criterion": load_model(out / "model.json").provenance["criterion"],
+        }
+        assert seen[field] == want
+
+    def test_bad_criterion_exits_2_before_reading_data(self, tmp_path, capsys):
+        # the data file does not exist, so reading it would exit 3
+        cfg = write_config(tmp_path, tmp_path / "nope.csv", criterion="foo")
+        assert main(["identify", "--config", str(cfg)]) == 2
+        assert "criterion" in capsys.readouterr().err
 
     def test_negative_validation_max_lag_exits_2_before_reading_data(self, tmp_path, capsys):
         # the data file does not exist, so reading it would exit 3

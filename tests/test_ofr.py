@@ -574,6 +574,18 @@ class TestOfrMatchesReference:
             path = assert_matches_reference(fake_problem(phi, target), criterion, max_terms=cap)
             assert path.stop_reason == "max_terms" and len(path.steps) == cap
 
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_max_terms_beyond_the_column_count(self, criterion):
+        # a path selects each column at most once, so a cap past the column
+        # count changes nothing and allocates no more than the count does
+        problem = noise_free_cubic_problem()
+        n_cols = problem.phi.shape[1]
+        for first in (None, *range(n_cols)):
+            path = ofr_select(problem, criterion, forced_first=first, max_terms=10**15)
+            assert path_bits(path) == path_bits(
+                ofr_select(problem, criterion, forced_first=first, max_terms=n_cols)
+            )
+
     @pytest.mark.parametrize("seed", range(4))
     def test_press_without_first_increase_stop(self, seed):
         rng = np.random.default_rng(50 + seed)

@@ -345,6 +345,16 @@ def _multitone():
     return IoData(u[:200], dc_motor_reference(u)[:200])
 
 
+def _zero_input():
+    # u = 0 leaves every u-term column zero, so their forced-first paths are
+    # empty; the output is a noise-free damped oscillation
+    y = np.zeros(120)
+    y[:2] = 1.0, 0.9
+    for t in range(2, 120):
+        y[t] = 1.6 * y[t - 1] - 0.81 * y[t - 2]
+    return IoData(np.zeros(120), y)
+
+
 SEARCH_CASES = {
     "dc-white": (_dc_white, None, SearchConfig()),
     "dc-white-noisy": (_dc_white_noisy, None, SearchConfig()),
@@ -352,6 +362,7 @@ SEARCH_CASES = {
     "dc-prbs": (_dc_prbs, None, SearchConfig()),
     "linear": (_linear, None, SearchConfig()),
     "multitone-pruned": (_multitone, None, SearchConfig()),
+    "zero-input": (_zero_input, None, SearchConfig()),
     # with these seeds the winner changes once more: three iterations
     "preselect": (_dc_white_noisy, [6, 0, 3, 11, 1], SearchConfig()),
     "preselect-one": (_dc_white_noisy, [12], SearchConfig()),
