@@ -89,11 +89,9 @@ def dc_motor_reference(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WhiteNoise:
-    """Seeded Gaussian white noise."""
+    """Seeded standard Gaussian white noise (mean 0, std 1)."""
 
     length: int
-    mean: float = 0.0
-    std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -150,7 +148,7 @@ def generate_signal(spec: SignalSpec) -> np.ndarray:
     """Deterministic excitation signal for ``spec``."""
     if isinstance(spec, WhiteNoise):
         rng = np.random.default_rng(spec.seed)
-        return rng.normal(spec.mean, spec.std, spec.length)
+        return rng.normal(0.0, 1.0, spec.length)
     if isinstance(spec, Multitone):
         t = np.arange(1, spec.length + 1) * spec.sample_period
         u = np.zeros(spec.length)

@@ -43,6 +43,18 @@ from .validation import ValidationReport, residual_tests
 
 SYNTH_CASES = ("dc-motor-white", "dc-motor-multitone", "dc-motor-prbs")
 
+# identify flags for RunConfig fields: ``--<field-with-dashes>`` except
+# these historic short names, and the help text where there is one
+_FLAG_NAMES = {
+    "n_a": "--na", "n_b": "--nb", "include_constant": "--constant", "output_dir": "--out",
+}
+_FLAG_HELP = {
+    "data": "input CSV (overrides config)",
+    "include_constant": "true/false, yes/no or 1/0",
+    "criterion": "press or err",
+    "method": "none, m1-m4 or 0-4",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,24 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identify", help="run the identification pipeline")
     p_id.add_argument("--config", help="flat key=value config file")
-    # RunConfig fields: apply_config_values converts and checks the strings
-    p_id.add_argument("--data", help="input CSV (overrides config)")
-    p_id.add_argument("--u-column", dest="u_column")
-    p_id.add_argument("--y-column", dest="y_column")
-    p_id.add_argument("--train-start", dest="train_start")
-    p_id.add_argument("--train-end", dest="train_end")
-    p_id.add_argument("--na", dest="n_a")
-    p_id.add_argument("--nb", dest="n_b")
-    p_id.add_argument("--degree")
-    p_id.add_argument("--constant", dest="include_constant", help="true/false, yes/no or 1/0")
-    p_id.add_argument("--criterion", help="press or err")
-    p_id.add_argument("--method", help="none, m1-m4 or 0-4")
-    p_id.add_argument("--arx-only", action="store_true", help="skip the nonlinear stage")
-    p_id.add_argument("--max-iterations", dest="max_iterations")
-    p_id.add_argument("--epsilon")
-    p_id.add_argument("--max-terms", dest="max_terms")
-    p_id.add_argument("--validation-max-lag", dest="validation_max_lag")
-    p_id.add_argument("--out", dest="output_dir")
+    # one flag per RunConfig field, kept as a string: apply_config_values
+    # converts and checks it as it does a config file value
+    for f in fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p_id.add_argument(flag, dest=f.name, help=_FLAG_HELP.get(f.name))
 
     p_sim = sub.add_parser("simulate", help="free-run a saved model over a data file")
     p_sim.add_argument("--model", required=True)
@@ -127,11 +126,9 @@ def _run_config_from_args(args) -> RunConfig:
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
+        if getattr(args, f.name) is not None
     }
     cfg = apply_config_values(cfg, overrides, source="command line")
-    if args.arx_only:
-        cfg.want_narx = False
     if not cfg.data:
         raise ConfigError("no input data file given (config key 'data' or --data)")
     _check_max_lag(cfg.validation_max_lag, "validation_max_lag")
@@ -176,9 +173,7 @@ def _cmd_identify(args) -> int:
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
         )
     train = data.slice(start, end)
-    report = identify(
-        train, spec, method=method, cfg=search_cfg, want_narx=run.want_narx
-    )
+    report = identify(train, spec, method=method, cfg=search_cfg)
     model = report.chosen_model
     validation = _validate(model, train, run.validation_max_lag)
     sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])

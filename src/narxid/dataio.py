@@ -164,7 +164,6 @@ class RunConfig:
     include_constant: bool = False
     criterion: str = "press"
     method: str = "none"
-    want_narx: bool = True
     max_iterations: int = SearchConfig.max_iterations
     epsilon: float = SearchConfig.epsilon
     max_terms: int = 0  # 0 means the identifiability default
@@ -204,7 +203,7 @@ def parse_config_file(path) -> RunConfig:
 
 
 def apply_config_values(cfg: RunConfig, values: dict, source: str = "override") -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)}
     for key, val in values.items():
         if key not in known:
             raise ConfigError(f"{source}: unknown config key {key!r}")

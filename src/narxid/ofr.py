@@ -196,7 +196,6 @@ def ofr_select(
     orig_ss = np.einsum("ij,ij->j", phi, phi)
     yy = float(target @ target)
 
-    selected: list[int] = []
     w_cols: list[np.ndarray] = []
     w_ss: list[float] = []
     steps: list[PathStep] = []
@@ -212,14 +211,14 @@ def ofr_select(
     n_evaluated = 0
     stop_reason = "max_terms"
 
-    while len(selected) < max_terms:
+    while len(steps) < max_terms:
         cand_ss = np.einsum("ij,ij->j", work, work)
         usable = available & (cand_ss > RANK_TOL * orig_ss)
         if not usable.any():
             stop_reason = "no usable candidates (rank tolerance)"
             break
 
-        if not selected and forced_first is not None:
+        if not steps and forced_first is not None:
             if not usable[forced_first]:
                 stop_reason = "forced first term is rank-deficient"
                 break
@@ -266,7 +265,7 @@ def ofr_select(
                     break
                 best = int(idx[j])
 
-        k = len(selected)
+        k = len(steps)
         w = work[:, best].copy()
         ws = float(w @ w)
         if ws * _REORTH_RATIO**2 < orig_ss[best]:
@@ -288,7 +287,6 @@ def ofr_select(
         else:
             ms_press = float("inf")
 
-        selected.append(best)
         w_cols.append(w)
         w_ss.append(ws)
         steps.append(PathStep(best, err, ms_press, g))
@@ -312,10 +310,11 @@ def ofr_select(
             stop_reason = "cumulative ERR threshold"
             break
 
-    k = len(selected)
-    triangular = np.eye(k)
-    for j in range(k):
-        triangular[:j, j] = acc[:j, selected[j]]
+    # column c of acc is written only above the row of the step that
+    # selects c, so the gather is strictly upper triangular; take keeps it
+    # C-ordered, so back_substitute's row slices stay contiguous
+    triangular = acc[: len(steps)].take([s.term_index for s in steps], axis=1)
+    np.fill_diagonal(triangular, 1.0)
     residual_ss = float(resid @ resid)
     return SelectionPath(
         tuple(steps), triangular, residual_ss, yy, stop_reason, n_evaluated

@@ -1,10 +1,11 @@
 """End-to-end identification: linear stage, nonlinear stage, model choice.
 
-The pipeline always identifies a linear (ARX) model first.  When a nonlinear
-model is requested it builds the polynomial candidate dictionary, optionally
-shrinks the search using one of four reduction methods, runs the iterative
-search, and finally keeps the nonlinear model only if its BIC (on free-run
-error) strictly beats the linear one.
+The pipeline always identifies a linear (ARX) model first.  When the lag
+specification asks for a polynomial degree above 1 it builds the polynomial
+candidate dictionary, optionally shrinks the search using one of four
+reduction methods, runs the iterative search, and finally keeps the
+nonlinear model only if its BIC (on free-run error) strictly beats the
+linear one.
 
 Reduction methods (all optional):
 
@@ -32,6 +33,7 @@ from .errors import ConfigError
 from .ofr import Criterion, back_substitute, default_max_terms, ofr_select
 from .regression import IoData, RegressionProblem, build_problem
 from .search import SearchConfig, SearchResult, iterative_ofr
+from .simulation import PROBE_SETTLE
 from .terms import (
     LagSpec,
     Term,
@@ -144,17 +146,22 @@ def identify(
     spec: LagSpec,
     method: ReductionMethod = ReductionMethod.NONE,
     cfg: SearchConfig = SearchConfig(),
-    want_narx: bool = True,
 ) -> IdentificationReport:
     """Run the full identification pipeline on ``data``.
 
     The linear stage searches the degree-1 dictionary seeded by all of its
-    terms.  The nonlinear stage (when ``want_narx``) searches the degree-
-    ``spec.degree`` dictionary under the chosen reduction method.  The
+    terms.  The nonlinear stage (when ``spec.degree > 1``) searches the
+    degree-``spec.degree`` dictionary under the chosen reduction method.  The
     returned report's ``chosen`` field is "NARX" only when the nonlinear
     model exists, is genuinely different from the linear one, and has
-    strictly lower BIC.
+    strictly lower BIC.  A lag bound beyond the stability probe's settle
+    window is a :class:`ConfigError`, raised before any search runs.
     """
+    if spec.max_lag > PROBE_SETTLE:
+        raise ConfigError(
+            f"lag bound {spec.max_lag} exceeds the stability probe's "
+            f"{PROBE_SETTLE}-sample settle window"
+        )
     timings: dict[str, float] = {}
     notes: list[str] = []
 
@@ -169,7 +176,7 @@ def identify(
 
     narx = None
     chosen = "ARX"
-    if want_narx and spec.degree > 1:
+    if spec.degree > 1:
         t0 = time.perf_counter()
         dictionaries = {
             "full": expand_dictionary(

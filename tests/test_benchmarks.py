@@ -68,9 +68,10 @@ class TestWhiteNoise:
         assert_array_equal(a, b)
 
     def test_mean_and_std(self):
-        u = generate_signal(WhiteNoise(length=20000, mean=1.5, std=0.5, seed=0))
-        assert np.mean(u) == pytest.approx(1.5, abs=0.02)
-        assert np.std(u) == pytest.approx(0.5, abs=0.02)
+        # standard normal: mean 0, std 1
+        u = generate_signal(WhiteNoise(length=20000, seed=0))
+        assert np.mean(u) == pytest.approx(0.0, abs=0.02)
+        assert np.std(u) == pytest.approx(1.0, abs=0.02)
 
 
 class TestMultitone:

@@ -1,13 +1,14 @@
 """Command-line surface: subcommands, exit codes, artifact round trips."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from narxid import LagSpec, predict_one_step, simulate_free_run
-from narxid.cli import main
-from narxid.dataio import ingest_csv, load_model
+from narxid.cli import _build_parser, main
+from narxid.dataio import RunConfig, ingest_csv, load_model
 
 
 @pytest.fixture()
@@ -96,6 +97,31 @@ class TestIdentify:
         code = main(["identify", "--data", str(bench_csv), "--bogus"])
         assert code == 2
 
+    def test_flags_are_the_run_config_fields(self):
+        args = vars(_build_parser().parse_args(["identify"]))
+        assert set(args) == {f.name for f in fields(RunConfig)} | {"command", "config"}
+        args = _build_parser().parse_args([
+            "identify", "--na", "3", "--nb", "4", "--constant", "yes", "--out", "o",
+        ])
+        assert (args.n_a, args.n_b, args.include_constant, args.output_dir) == (
+            "3", "4", "yes", "o",
+        )
+
+    def test_arx_only_switch_is_gone(self, tmp_path, bench_csv, capsys):
+        # an ARX-only run is degree 1
+        assert main(["identify", "--data", str(bench_csv), "--arx-only"]) == 2
+        cfg = write_config(tmp_path, bench_csv, want_narx="false")
+        assert main(["identify", "--config", str(cfg)]) == 2
+        assert "unknown config key 'want_narx'" in capsys.readouterr().err
+
+    def test_lag_beyond_the_probe_window_exits_2(self, tmp_path, bench_csv, capsys):
+        code = main([
+            "identify", "--data", str(bench_csv), "--na", "201", "--degree", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "200-sample settle window" in capsys.readouterr().err
+
     def test_seed_flag_exits_2(self, bench_csv, capsys):
         # nothing in identify is random, so it takes no seed
         code = main(["identify", "--data", str(bench_csv), "--seed", "1"])
@@ -175,7 +201,7 @@ class TestIdentify:
         cfg = write_config(tmp_path, bench_csv)
         out2 = tmp_path / "out2"
         code = main([
-            "identify", "--config", str(cfg), "--arx-only", "--out", str(out2),
+            "identify", "--config", str(cfg), "--degree", "1", "--out", str(out2),
         ])
         assert code == 0
         doc = json.loads((out2 / "report.json").read_text())

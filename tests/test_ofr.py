@@ -460,7 +460,11 @@ def reference_ofr_select(
 
 
 def path_bits(path):
-    """Everything a path records, floats as integers so -0.0 and 0.0 differ."""
+    """Everything a path records, floats as integers so -0.0 and 0.0 differ.
+
+    The back-substituted coefficients are included because their bits also
+    depend on the memory order of ``triangular``, not only on its values.
+    """
     steps = [
         (s.term_index, *np.array([s.err, s.ms_press, s.g]).view(np.int64).tolist())
         for s in path.steps
@@ -469,6 +473,7 @@ def path_bits(path):
         steps,
         path.triangular.shape,
         path.triangular.view(np.int64).tolist(),
+        back_substitute(path).view(np.int64).tolist(),
         np.array([path.residual_ss, path.target_ss]).view(np.int64).tolist(),
         path.stop_reason,
         path.n_evaluated,

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import narxid.pipeline
+import narxid.search
 from narxid import (
     ConfigError,
+    IdentificationError,
     IoData,
     LagSpec,
     ReductionMethod,
@@ -135,13 +137,23 @@ class TestIdentify:
         assert len(report.narx.dictionary) <= 14
 
     def test_arx_only(self):
+        # degree 1 is the ARX-only run: there is no nonlinear stage
         report = identify(
-            white_noise_benchmark(),
-            LagSpec(2, 2, 2, include_constant=False),
-            want_narx=False,
+            white_noise_benchmark(), LagSpec(2, 2, 1, include_constant=False)
         )
         assert report.narx is None
         assert report.chosen == "ARX"
+
+    @pytest.mark.xfail(strict=True, raises=IdentificationError, reason=(
+        "open defect (ROADMAP item 6): every linear candidate fails the "
+        "probe, so the nonlinear stage never runs"
+    ))
+    def test_no_probe_stable_linear_model(self):
+        # the true model is stable, but no linear candidate passes the probe
+        report = identify(
+            white_noise_benchmark(seed=24), LagSpec(2, 2, 2, include_constant=False)
+        )
+        assert report.chosen_model is not None
 
     def test_chosen_flag_consistent_with_bic(self):
         for method in (ReductionMethod.NONE, ReductionMethod.M2):
@@ -198,6 +210,34 @@ class TestMethodCounters:
         assert evals[ReductionMethod.M1] <= evals[ReductionMethod.NONE]
         assert evals[ReductionMethod.M3] <= evals[ReductionMethod.M4]
         assert evals[ReductionMethod.M4] <= evals[ReductionMethod.M2]
+
+
+class TestLagBound:
+    # the probe discards its first 200 samples, so it cannot judge a model
+    # that reads further back; identify says so before any search runs
+    @pytest.fixture()
+    def ofr_calls(self, monkeypatch):
+        calls = []
+
+        def stop(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("ofr_select reached")
+
+        monkeypatch.setattr(narxid.search, "ofr_select", stop)
+        monkeypatch.setattr(narxid.pipeline, "ofr_select", stop)
+        return calls
+
+    def test_lag_beyond_the_settle_window_fails_before_any_search(self, ofr_calls):
+        data = white_noise_benchmark(train=500)
+        with pytest.raises(ConfigError, match="200-sample settle window"):
+            identify(data, LagSpec(201, 2, 1, include_constant=False))
+        assert ofr_calls == []
+
+    def test_lag_at_the_settle_window_passes_the_check(self, ofr_calls):
+        data = white_noise_benchmark(train=500)
+        with pytest.raises(RuntimeError, match="ofr_select reached"):
+            identify(data, LagSpec(200, 2, 1, include_constant=False))
+        assert len(ofr_calls) == 1
 
 
 class TestReductionErrors:
