@@ -36,9 +36,10 @@ from .errors import (
     InsufficientDataError,
     NarxidError,
 )
-from .pipeline import identify
+from .pipeline import check_lag_bound, identify
 from .search import SearchConfig
 from .simulation import predict_one_step, simulate_free_run
+from .terms import LagSpec
 from .validation import ValidationReport, residual_tests
 
 SYNTH_CASES = ("dc-motor-white", "dc-motor-multitone", "dc-motor-prbs")
@@ -121,28 +122,37 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_config_from_args(args) -> RunConfig:
-    cfg = parse_config_file(args.config) if args.config else RunConfig()
+def _run_config_from_args(args) -> tuple[RunConfig, LagSpec, SearchConfig]:
+    """The run's settings, its lag spec and search settings, checked as far
+    as they can be without the record."""
+    run = parse_config_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name) is not None
     }
-    cfg = apply_config_values(cfg, overrides, source="command line")
-    if not cfg.data:
+    run = apply_config_values(run, overrides, source="command line")
+    if not run.data:
         raise ConfigError("no input data file given (config key 'data' or --data)")
-    _check_max_lag(cfg.validation_max_lag, "validation_max_lag")
-    return cfg
+    spec = run.lag_spec()
+    check_lag_bound(spec)
+    search_cfg = SearchConfig(
+        max_iterations=run.max_iterations,
+        epsilon=run.epsilon,
+        criterion=run.criterion,
+        max_terms=run.max_terms or None,
+    )
+    for name in ("validation_max_lag", "train_start", "train_end"):
+        _check_non_negative(getattr(run, name), name)
+    if run.train_end and run.train_end <= run.train_start:
+        raise ConfigError(f"train_end {run.train_end} must be 0 or above train_start")
+    return run, spec, search_cfg
 
 
-def _check_max_lag(max_lag: int, name: str) -> None:
-    """Reject a negative residual-test lag before any data is read.
-
-    Whether a positive lag fits depends on the record, so that stays a
-    data error raised by :func:`residual_tests`.
-    """
-    if max_lag < 0:
-        raise ConfigError(f"{name} must be >= 0 (0 means the default), got {max_lag}")
+def _check_non_negative(value: int, name: str) -> None:
+    """Reject a negative lag or sample index before any data is read."""
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def _validate(model, data, max_lag: int) -> ValidationReport:
@@ -156,24 +166,16 @@ def _validate(model, data, max_lag: int) -> ValidationReport:
 
 
 def _cmd_identify(args) -> int:
-    run = _run_config_from_args(args)
-    spec = run.lag_spec()
-    method = run.method_enum()
-    search_cfg = SearchConfig(
-        max_iterations=run.max_iterations,
-        epsilon=run.epsilon,
-        criterion=run.criterion_enum(),
-        max_terms=run.max_terms or None,
-    )
+    run, spec, search_cfg = _run_config_from_args(args)
     data = ingest_csv(run.data, run.u_column, run.y_column)
     start = run.train_start
     end = run.train_end or len(data)
-    if not (0 <= start < end <= len(data)):
+    if not start < end <= len(data):
         raise ConfigError(
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
         )
     train = data.slice(start, end)
-    report = identify(train, spec, method=method, cfg=search_cfg)
+    report = identify(train, spec, method=run.method, cfg=search_cfg)
     model = report.chosen_model
     validation = _validate(model, train, run.validation_max_lag)
     sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
@@ -208,7 +210,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _check_max_lag(args.max_lag, "--max-lag")
+    _check_non_negative(args.max_lag, "--max-lag")
     model = load_model(args.model)
     data = ingest_csv(args.data, args.u_column, args.y_column)
     report = _validate(model, data, args.max_lag)

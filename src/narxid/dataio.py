@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +163,8 @@ class RunConfig:
     n_b: int = 2
     degree: int = 2
     include_constant: bool = False
-    criterion: str = "press"
-    method: str = "none"
+    criterion: Criterion = Criterion.PRESS
+    method: ReductionMethod = ReductionMethod.NONE
     max_iterations: int = SearchConfig.max_iterations
     epsilon: float = SearchConfig.epsilon
     max_terms: int = 0  # 0 means the identifiability default
@@ -172,15 +173,6 @@ class RunConfig:
 
     def lag_spec(self) -> LagSpec:
         return LagSpec(self.n_a, self.n_b, self.degree, self.include_constant)
-
-    def criterion_enum(self) -> Criterion:
-        try:
-            return Criterion(self.criterion.lower())
-        except ValueError:
-            raise ConfigError(f"unknown criterion {self.criterion!r}") from None
-
-    def method_enum(self) -> ReductionMethod:
-        return ReductionMethod.from_string(self.method)
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
@@ -208,7 +200,12 @@ def apply_config_values(cfg: RunConfig, values: dict, source: str = "override") 
         if key not in known:
             raise ConfigError(f"{source}: unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
+        if isinstance(current, Enum):
+            try:
+                setattr(cfg, key, type(current)(str(val).strip().lower()))
+            except ValueError:
+                raise ConfigError(f"{source}: unknown {key} {val!r}") from None
+        elif isinstance(current, bool):
             text = str(val).lower()
             if text not in _BOOL_STRINGS:
                 raise ConfigError(f"{source}: {key} wants true/false, got {val!r}")

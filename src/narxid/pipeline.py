@@ -29,10 +29,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, IdentificationError
 from .ofr import Criterion, back_substitute, default_max_terms, ofr_select
 from .regression import IoData, RegressionProblem, build_problem
-from .search import SearchConfig, SearchResult, iterative_ofr
+from .search import ModelPool, SearchConfig, SearchResult, iterative_ofr
 from .simulation import PROBE_SETTLE
 from .terms import (
     LagSpec,
@@ -46,6 +46,7 @@ __all__ = [
     "ReductionMethod",
     "TableRow",
     "IdentificationReport",
+    "check_lag_bound",
     "identify",
     "overfit_preselect",
 ]
@@ -61,18 +62,11 @@ class ReductionMethod(Enum):
     M4 = "m4"
 
     @classmethod
-    def from_string(cls, text: str) -> "ReductionMethod":
-        key = str(text).strip().lower()
-        aliases = {
-            "none": cls.NONE, "0": cls.NONE,
-            "m1": cls.M1, "1": cls.M1,
-            "m2": cls.M2, "2": cls.M2,
-            "m3": cls.M3, "3": cls.M3,
-            "m4": cls.M4, "4": cls.M4,
-        }
-        if key not in aliases:
-            raise ConfigError(f"unknown reduction method {text!r}")
-        return aliases[key]
+    def _missing_(cls, value):
+        # the digits 0-4 name NONE and M1-M4
+        if value in ("0", "1", "2", "3", "4"):
+            return list(cls)[int(value)]
+        return None
 
 
 # each method's plan: the dictionary it searches and the one its overfit
@@ -141,6 +135,16 @@ def _overfit_size(n_arx_terms: int, problem: RegressionProblem, cfg: SearchConfi
     return max(1, min(2 * n_arx_terms + 5, cap, n_terms))
 
 
+def check_lag_bound(spec: LagSpec) -> None:
+    """Reject a lag bound beyond the ``PROBE_SETTLE`` samples the stability
+    probe discards: the probe cannot judge a model that reads further back."""
+    if spec.max_lag > PROBE_SETTLE:
+        raise ConfigError(
+            f"lag bound {spec.max_lag} (the larger of n_a and n_b) exceeds the "
+            f"stability probe's {PROBE_SETTLE}-sample settle window"
+        )
+
+
 def identify(
     data: IoData,
     spec: LagSpec,
@@ -154,21 +158,23 @@ def identify(
     degree-``spec.degree`` dictionary under the chosen reduction method.  The
     returned report's ``chosen`` field is "NARX" only when the nonlinear
     model exists, is genuinely different from the linear one, and has
-    strictly lower BIC.  A lag bound beyond the stability probe's settle
-    window is a :class:`ConfigError`, raised before any search runs.
+    strictly lower BIC; a nonlinear stage with no probe-stable candidate
+    leaves ``narx`` None and a note of the rejection counts.  A linear stage
+    with none raises :class:`IdentificationError`.  A lag bound beyond the
+    stability probe's settle window is a :class:`ConfigError`, raised before
+    any search runs.
     """
-    if spec.max_lag > PROBE_SETTLE:
-        raise ConfigError(
-            f"lag bound {spec.max_lag} exceeds the stability probe's "
-            f"{PROBE_SETTLE}-sample settle window"
-        )
+    check_lag_bound(spec)
     timings: dict[str, float] = {}
     notes: list[str] = []
 
     linear_spec = replace(spec, degree=1)
     d_linear = build_linear_dictionary(linear_spec)
     t0 = time.perf_counter()
-    arx = iterative_ofr(d_linear, None, data, cfg)
+    try:
+        arx = iterative_ofr(d_linear, None, data, cfg)
+    except IdentificationError as exc:
+        raise IdentificationError(f"linear (ARX) stage: {exc}", pool=exc.pool) from None
     timings["arx_s"] = time.perf_counter() - t0
     logger.debug(
         "linear stage: %d terms, bic %.3f", arx.model.n_terms, arx.best.bic
@@ -198,14 +204,18 @@ def identify(
                 _overfit_size(arx.model.n_terms, sketch_problem, cfg),
             )
 
-        narx = iterative_ofr(dictionaries[searched], preselect, data, cfg)
-        narx = replace(narx, n_evaluations=narx.n_evaluations + sketch_evals)
+        try:
+            narx = iterative_ofr(dictionaries[searched], preselect, data, cfg)
+        except IdentificationError as exc:
+            # no nonlinear candidate can beat the stable linear model
+            notes.append(_rejection_note(exc.pool))
+        else:
+            narx = replace(narx, n_evaluations=narx.n_evaluations + sketch_evals)
+            if frozenset(narx.model.terms) == frozenset(arx.model.terms):
+                notes.append("nonlinear stage returned the linear term set")
+            elif narx.best.bic < arx.best.bic:
+                chosen = "NARX"
         timings["narx_s"] = time.perf_counter() - t0
-
-        if frozenset(narx.model.terms) == frozenset(arx.model.terms):
-            notes.append("nonlinear stage returned the linear term set")
-        elif narx.best.bic < arx.best.bic:
-            chosen = "NARX"
         if searched == "reduced":
             notes.append(
                 "reduced-dictionary search: term sets can differ from the "
@@ -221,6 +231,18 @@ def identify(
         method=method,
         timings=timings,
         notes=tuple(notes),
+    )
+
+
+def _rejection_note(pool: ModelPool) -> str:
+    """Why each candidate of a stage with no selectable one was rejected."""
+    diverged = sum(e.verdict.diverged for e in pool)
+    too_variable = sum(not (e.verdict.stable or e.verdict.diverged) for e in pool)
+    return (
+        f"nonlinear stage found no stable candidate, so the linear model is kept: "
+        f"of {len(pool)} candidates, {diverged} diverged under the probe, "
+        f"{too_variable} had probe variance above epsilon and "
+        f"{len(pool) - diverged - too_variable} diverged on the training run"
     )
 
 

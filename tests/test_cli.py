@@ -6,9 +6,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from narxid import LagSpec, predict_one_step, simulate_free_run
+from narxid import (
+    LagSpec,
+    Prbs,
+    dc_motor_reference,
+    generate_signal,
+    predict_one_step,
+    simulate_free_run,
+)
 from narxid.cli import _build_parser, main
-from narxid.dataio import RunConfig, ingest_csv, load_model
+from narxid.dataio import RunConfig, ingest_csv, load_model, write_timeseries_csv
 
 
 @pytest.fixture()
@@ -185,6 +192,44 @@ class TestIdentify:
         code = main(["identify", "--config", str(cfg), "--validation-max-lag", "-1"])
         assert code == 2
         assert "validation_max_lag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, setting", [
+        (("--na", "201"), "n_a"),
+        (("--train-start", "-1"), "train_start"),
+        (("--train-end", "-5"), "train_end"),
+        (("--train-start", "50", "--train-end", "40"), "train_end"),
+        (("--criterion", "foo"), "criterion"),
+        (("--method", "m9"), "method"),
+        (("--validation-max-lag", "-1"), "validation_max_lag"),
+        (("--degree", "0"), "degree"),
+    ])
+    def test_bad_setting_exits_2_before_reading_data(self, tmp_path, capsys, flags, setting):
+        # the data file does not exist, so reading it would exit 3
+        code = main(["identify", "--data", str(tmp_path / "nope.csv"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert setting in err
+
+    def test_flag_overrides_a_bad_config_value(self, tmp_path, bench_csv):
+        # only the value left after every override is checked
+        cfg = write_config(tmp_path, bench_csv, n_a=201)
+        assert main(["identify", "--config", str(cfg), "--na", "2"]) == 0
+
+    def test_nonlinear_stage_without_stable_candidate_keeps_arx(self, tmp_path):
+        # ROADMAP case E, seed 2: every nonlinear candidate fails the probe
+        n = 1000
+        u = generate_signal(Prbs(length=n, levels=(0.0, 1.0), hold=5, seed=2))
+        y = dc_motor_reference(u) + 0.01 * np.random.default_rng(2).normal(size=n)
+        data = tmp_path / "prbs2.csv"
+        write_timeseries_csv(data, u, y)
+        out = tmp_path / "out"
+        code = main([
+            "identify", "--data", str(data), "--constant", "true", "--out", str(out),
+        ])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert (doc["chosen"], doc["narx"]) == ("ARX", None)
 
     def test_validation_max_lag_beyond_record_exits_3(self, tmp_path, bench_csv, capsys):
         cfg = write_config(tmp_path, bench_csv, validation_max_lag=60)

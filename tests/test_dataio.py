@@ -11,10 +11,12 @@ from numpy.testing import assert_array_equal
 
 from narxid import (
     ConfigError,
+    Criterion,
     DataError,
     IoData,
     LagSpec,
     Model,
+    ReductionMethod,
     dc_motor_reference,
     identify,
     parse_term,
@@ -264,7 +266,7 @@ class TestRunConfig:
         assert cfg.data == "bench.csv"
         assert cfg.n_a == 2
         assert cfg.include_constant is False
-        assert cfg.method == "3"
+        assert cfg.method is ReductionMethod.M3
         assert cfg.train_end == 60
         assert cfg.epsilon == 0.01
 
@@ -284,7 +286,7 @@ class TestRunConfig:
     def test_overrides(self):
         cfg = apply_config_values(RunConfig(), {"n_a": "3", "criterion": "err"})
         assert cfg.n_a == 3
-        assert cfg.criterion == "err"
+        assert cfg.criterion is Criterion.ERR
 
 
 class TestRenderReport:

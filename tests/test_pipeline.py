@@ -12,6 +12,7 @@ from narxid import (
     IdentificationError,
     IoData,
     LagSpec,
+    Prbs,
     ReductionMethod,
     SearchConfig,
     build_linear_dictionary,
@@ -19,13 +20,14 @@ from narxid import (
     dc_motor_reference,
     dc_motor_terms,
     expand_dictionary,
+    generate_signal,
     identify,
     iterative_ofr,
     overfit_preselect,
     reduce_dictionary,
 )
 from narxid.cli import main
-from narxid.dataio import write_timeseries_csv
+from narxid.dataio import RunConfig, apply_config_values, write_timeseries_csv
 
 
 def white_noise_benchmark(n=1000, seed=332, train=60):
@@ -43,6 +45,13 @@ def linear_noisy_data(seed=0, n=400, sigma=0.1):
     return IoData(u, y + sigma * rng.normal(size=n))
 
 
+def noisy_prbs_data(seed, n=1000, sigma=0.01):
+    # ROADMAP case E: binary PRBS into the DC motor, with output noise
+    u = generate_signal(Prbs(length=n, levels=(0.0, 1.0), hold=5, seed=seed))
+    y = dc_motor_reference(u) + sigma * np.random.default_rng(seed).normal(size=n)
+    return IoData(u, y)
+
+
 def constant_output_data():
     # the output is a constant plus noise, so the linear stage keeps only
     # the constant term and selects no lagged ones
@@ -57,11 +66,17 @@ TRUE_TERMS = set(dc_motor_terms()[0])
 
 class TestReductionMethod:
     def test_parse_aliases(self):
-        assert ReductionMethod.from_string("none") is ReductionMethod.NONE
-        assert ReductionMethod.from_string("3") is ReductionMethod.M3
-        assert ReductionMethod.from_string("M2") is ReductionMethod.M2
-        with pytest.raises(ConfigError):
-            ReductionMethod.from_string("m9")
+        # the config file and the flags read a method through one rule
+        def parse(text):
+            return apply_config_values(RunConfig(), {"method": text}).method
+
+        assert parse("none") is ReductionMethod.NONE
+        for digit, member in zip("01234", ReductionMethod):
+            assert parse(digit) is member
+        assert parse("M2") is ReductionMethod.M2
+        assert parse(" m3 ") is ReductionMethod.M3
+        with pytest.raises(ConfigError, match="method"):
+            parse("m9")
 
 
 class TestOverfitPreselect:
@@ -154,6 +169,29 @@ class TestIdentify:
             white_noise_benchmark(seed=24), LagSpec(2, 2, 2, include_constant=False)
         )
         assert report.chosen_model is not None
+
+    def test_linear_stage_failure_names_the_stage(self):
+        # item 6's record: no linear candidate passes the probe
+        with pytest.raises(IdentificationError, match=r"^linear \(ARX\) stage: ") as info:
+            identify(
+                white_noise_benchmark(seed=24), LagSpec(2, 2, 2, include_constant=False)
+            )
+        assert len(info.value.pool) > 0
+
+    def test_no_probe_stable_nonlinear_model_keeps_the_linear_one(self):
+        # every nonlinear candidate fails the probe; the stable linear model
+        # cannot be beaten by an empty pool, so it is the result
+        report = identify(noisy_prbs_data(seed=2), LagSpec(2, 2, 2, include_constant=True))
+        assert report.chosen == "ARX"
+        assert report.narx is None
+        assert report.arx.best.verdict.stable
+        assert report.chosen_model.n_terms == 4
+        assert report.chosen_model.bias != 0
+        assert report.notes == (
+            "nonlinear stage found no stable candidate, so the linear model is kept: "
+            "of 15 candidates, 3 diverged under the probe, 12 had probe variance "
+            "above epsilon and 0 diverged on the training run",
+        )
 
     def test_chosen_flag_consistent_with_bic(self):
         for method in (ReductionMethod.NONE, ReductionMethod.M2):
