@@ -30,7 +30,6 @@ from .errors import (
 from .ofr import (
     Criterion,
     SelectionPath,
-    StopRule,
     back_substitute,
     err_of,
     ofr_select,
@@ -72,7 +71,7 @@ __all__ = [
     # regression
     "IoData", "RegressionProblem", "build_problem", "least_squares",
     # ofr
-    "Criterion", "StopRule", "SelectionPath", "ofr_select", "err_of",
+    "Criterion", "SelectionPath", "ofr_select", "err_of",
     "press_of", "back_substitute",
     # simulation
     "Model", "FreeRunResult", "StabilityVerdict", "simulate_free_run",

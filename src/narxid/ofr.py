@@ -26,7 +26,6 @@ from .regression import RANK_TOL, RegressionProblem
 
 __all__ = [
     "Criterion",
-    "StopRule",
     "PathStep",
     "SelectionPath",
     "ofr_select",
@@ -40,6 +39,9 @@ __all__ = [
 # residual would blow up, signalling an interpolating fit.
 LEVERAGE_GUARD = 1e-8
 
+# An ERR path stops once its cumulative ERR reaches this.
+ERR_TOTAL = 1.0 - 1e-6
+
 # One re-orthogonalization pass when the orthogonalized norm has dropped by
 # more than this factor relative to the source column.
 _REORTH_RATIO = 1e4
@@ -50,19 +52,6 @@ class Criterion(Enum):
 
     ERR = "err"
     PRESS = "press"
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """When to stop adding terms, on top of the ``max_terms`` cap.
-
-    ERR-driven paths stop once the cumulative ERR reaches ``err_total``.
-    PRESS-driven paths stop at the first local minimum of the mean-squared
-    PRESS when ``press_first_increase`` is set.
-    """
-
-    err_total: float = 1.0 - 1e-6
-    press_first_increase: bool = True
 
 
 class PathStep(NamedTuple):
@@ -83,8 +72,6 @@ class SelectionPath:
 
     steps: tuple[PathStep, ...]
     triangular: np.ndarray
-    residual_ss: float
-    target_ss: float
     stop_reason: str
     n_evaluated: int
 
@@ -152,8 +139,6 @@ def press_of(
 def back_substitute(path: SelectionPath) -> np.ndarray:
     """Coefficients in the original term basis from the orthogonal record."""
     k = len(path.steps)
-    if k == 0:
-        return np.empty(0)
     g = np.array([s.g for s in path.steps])
     theta = g.copy()
     A = path.triangular
@@ -167,7 +152,7 @@ def ofr_select(
     criterion: Criterion = Criterion.PRESS,
     forced_first: int | None = None,
     max_terms: int | None = None,
-    stop: StopRule = StopRule(),
+    stop: bool = True,
 ) -> SelectionPath:
     """Run one orthogonalization path over ``problem``.
 
@@ -175,16 +160,15 @@ def ofr_select(
     criterion.  Candidates whose orthogonalized squared norm falls below
     ``RANK_TOL`` times the original are dropped as dependent; PRESS
     candidates whose leverage trips the guard are rejected for that step.
-    Ties break toward the lowest dictionary index.  Runs out of candidates,
-    criterion stop, or the ``max_terms`` cap all end the path with the
-    reason recorded.
+    Ties break toward the lowest dictionary index.  With ``stop`` set, an
+    ERR path ends once its cumulative ERR reaches ``ERR_TOTAL`` and a PRESS
+    path at the first PRESS increase; running out of candidates, the
+    leverage guard and the ``max_terms`` cap end a path either way.  The
+    reason is recorded.
     """
     phi = problem.phi
     target = problem.target
     n_rows, n_cols = phi.shape
-    if n_cols == 0:
-        return SelectionPath((), np.empty((0, 0)), float(target @ target),
-                             float(target @ target), "empty dictionary", 0)
     if max_terms is None:
         max_terms = default_max_terms(n_cols, n_rows)
     if max_terms < 1:
@@ -256,11 +240,7 @@ def ofr_select(
                     stop_reason = "all candidates leverage-rejected"
                     break
                 j = int(np.argmin(press))
-                if (
-                    stop.press_first_increase
-                    and steps
-                    and press[j] > steps[-1].ms_press
-                ):
+                if stop and steps and press[j] > steps[-1].ms_press:
                     stop_reason = "PRESS increase"
                     break
                 best = int(idx[j])
@@ -306,7 +286,7 @@ def ofr_select(
             acc[k, rem] = (w @ work[:, rem]) / ws
             work -= np.multiply(w[:, None], acc[k], out=scratch.reshape(work.shape))
 
-        if criterion is Criterion.ERR and sum(s.err for s in steps) >= stop.err_total:
+        if stop and criterion is Criterion.ERR and sum(s.err for s in steps) >= ERR_TOTAL:
             stop_reason = "cumulative ERR threshold"
             break
 
@@ -315,7 +295,4 @@ def ofr_select(
     # C-ordered, so back_substitute's row slices stay contiguous
     triangular = acc[: len(steps)].take([s.term_index for s in steps], axis=1)
     np.fill_diagonal(triangular, 1.0)
-    residual_ss = float(resid @ resid)
-    return SelectionPath(
-        tuple(steps), triangular, residual_ss, yy, stop_reason, n_evaluated
-    )
+    return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)

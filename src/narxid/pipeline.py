@@ -185,11 +185,7 @@ def identify(
     if spec.degree > 1:
         t0 = time.perf_counter()
         dictionaries = {
-            "full": expand_dictionary(
-                (t for t in d_linear if not t.is_constant),
-                spec.degree,
-                spec.include_constant,
-            )
+            "full": expand_dictionary(d_linear, spec.degree, spec.include_constant)
         }
         searched, sketched = _PLANS[method]
         if "reduced" in (searched, sketched):

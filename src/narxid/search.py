@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IdentificationError, SingularityError
-from .ofr import Criterion, SelectionPath, StopRule, back_substitute, ofr_select
+from .ofr import Criterion, SelectionPath, back_substitute, ofr_select
 from .regression import IoData, RegressionProblem, build_problem, least_squares
 from .simulation import PROBE_EPSILON, Model, StabilityVerdict, simulate_free_run, stability_probe
 from .terms import Dictionary, Term
@@ -266,7 +265,7 @@ def _exact_fit_prune(
         criterion=criterion,
         forced_first=columns.index(seed) if seed in columns else None,
         max_terms=len(columns),
-        stop=StopRule(err_total=math.inf, press_first_increase=False),
+        stop=False,
     )
     names = ", ".join(str(problem.dictionary[i]) for i in sorted(dropped))
     return replace(

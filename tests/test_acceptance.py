@@ -41,7 +41,6 @@ from narxid import (
     stability_probe,
 )
 from narxid.dataio import render_report
-from narxid.ofr import StopRule
 from narxid.search import MSSE_FLOOR_REL, ModelPool
 
 BENCHMARK_SEED = 332
@@ -193,8 +192,7 @@ def test_criterion_4_press_oracle():
             d = Dictionary(tuple(parse_term(f"u(t-{i+1})") for i in range(m)))
             problem = RegressionProblem(phi, target, d, 0)
             path = ofr_select(
-                problem, Criterion.PRESS, max_terms=min(k_max, L // 3),
-                stop=StopRule(press_first_increase=False),
+                problem, Criterion.PRESS, max_terms=min(k_max, L // 3), stop=False,
             )
             for k in range(1, len(path.steps) + 1):
                 subset = list(path.term_indices[:k])

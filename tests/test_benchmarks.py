@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from narxid import (
+    ConfigError,
     DivergenceError,
     InsufficientDataError,
     Model,
@@ -118,3 +119,16 @@ class TestPrbs:
     def test_custom_levels(self):
         u = generate_signal(Prbs(length=50, levels=(0.0, 2.0), seed=1))
         assert set(np.unique(u)) <= {0.0, 2.0}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WhiteNoise(0), "length must be >= 1"),
+    (lambda: Multitone(0), "length must be >= 1"),
+    (lambda: Multitone(10, sample_period=0), "sample_period must be positive"),
+    (lambda: Prbs(0), "length must be >= 1"),
+    (lambda: Prbs(10, hold=0), "hold must be >= 1"),
+    (lambda: generate_signal(object()), "unknown signal spec"),
+], ids=["white-0", "multitone-0", "multitone-period-0", "prbs-0", "prbs-hold-0", "unknown-spec"])
+def test_bad_signal_spec_raises_config_error(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()

@@ -211,6 +211,45 @@ class TestIdentify:
         assert err.startswith("error: ")
         assert setting in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("nonsense", "run.cfg:2: expected 'key = value'"),
+        ("include_constant = maybe", "include_constant wants true/false"),
+        ("epsilon = abc", "epsilon wants a number"),
+    ])
+    def test_bad_config_line_exits_2_before_reading_data(self, tmp_path, capsys, line, message):
+        # the data file does not exist, so reading it would exit 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {tmp_path / 'nope.csv'}\n{line}\n")
+        assert main(["identify", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_no_data_file_given_exits_2(self, capsys):
+        assert main(["identify", "--train-end", "60"]) == 2
+        assert "no input data file given" in capsys.readouterr().err
+
+    def test_output_path_naming_a_file_exits_3(self, tmp_path, bench_csv, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        code = main([
+            "identify", "--data", str(bench_csv), "--train-end", "60", "--out", str(taken),
+        ])
+        assert code == 3
+        assert "is not writable" in capsys.readouterr().err
+
+    def test_unstable_system_fails_in_the_linear_stage(self, tmp_path, capsys):
+        # y(t) = 1.05 y(t-1) + u(t-1): no linear candidate passes the probe
+        u = np.random.default_rng(1).normal(size=120)
+        y = np.zeros(120)
+        for t in range(1, 120):
+            y[t] = 1.05 * y[t - 1] + u[t - 1]
+        data = tmp_path / "unstable.csv"
+        write_timeseries_csv(data, u, y)
+        code = main([
+            "identify", "--data", str(data), "--degree", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("identification failed: linear (ARX) stage:")
+
     def test_flag_overrides_a_bad_config_value(self, tmp_path, bench_csv):
         # only the value left after every override is checked
         cfg = write_config(tmp_path, bench_csv, n_a=201)
@@ -340,6 +379,16 @@ class TestSimulateAndValidate:
             capsys.readouterr()
             assert simulate(doc) == 3
             assert "m.json" in capsys.readouterr().err
+
+    def test_non_json_model_exits_3(self, tmp_path, bench_csv, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("{not json")
+        code = main([
+            "simulate", "--model", str(path),
+            "--data", str(bench_csv), "--out", str(tmp_path / "sim.csv"),
+        ])
+        assert code == 3
+        assert "not valid model JSON" in capsys.readouterr().err
 
     def test_validate_writes_artifacts(self, tmp_path, bench_csv, model_path):
         out = tmp_path / "val"

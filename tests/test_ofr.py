@@ -17,7 +17,6 @@ from narxid import (
     Criterion,
     LeverageError,
     SingularityError,
-    StopRule,
     back_substitute,
     err_of,
     least_squares,
@@ -27,6 +26,7 @@ from narxid import (
 from narxid.benchmarks import Prbs, WhiteNoise, dc_motor_reference, generate_signal
 from narxid.ofr import (
     _REORTH_RATIO,
+    ERR_TOTAL,
     LEVERAGE_GUARD,
     PathStep,
     SelectionPath,
@@ -147,8 +147,7 @@ class TestOfrSelect:
         phi = rng.normal(size=(30, 6))
         target = rng.normal(size=30)
         path = ofr_select(
-            fake_problem(phi, target), Criterion.PRESS, max_terms=3,
-            stop=StopRule(press_first_increase=False),
+            fake_problem(phi, target), Criterion.PRESS, max_terms=3, stop=False,
         )
         chosen: list[int] = []
         for _ in range(3):
@@ -189,7 +188,8 @@ class TestOfrSelect:
         target = rng.normal(size=40)
         path = ofr_select(fake_problem(phi, target), Criterion.ERR, max_terms=5)
         total_err = sum(s.err for s in path.steps)
-        assert path.residual_ss / path.target_ss == pytest.approx(
+        resid = target - phi[:, list(path.term_indices)] @ back_substitute(path)
+        assert (resid @ resid) / (target @ target) == pytest.approx(
             1.0 - total_err, abs=1e-9
         )
         assert total_err <= 1.0 + 1e-9
@@ -235,6 +235,43 @@ class TestOfrSelect:
         b = ofr_select(fake_problem(phi, target), Criterion.ERR, max_terms=1)
         assert a.term_indices == b.term_indices == (0,)
 
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_empty_dictionary(self, criterion):
+        problem = fake_problem(np.empty((20, 0)), np.ones(20))
+        path = ofr_select(problem, criterion)
+        assert path_bits(path) == path_bits(reference_ofr_select(problem, criterion))
+        assert path.steps == () and path.n_evaluated == 0
+        assert path.triangular.shape == (0, 0)
+        assert path.stop_reason == "no usable candidates (rank tolerance)"
+        theta = back_substitute(path)
+        assert theta.shape == (0,) and theta.dtype == np.float64
+        with pytest.raises(ValueError, match="out of range"):
+            ofr_select(problem, criterion, forced_first=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_terms": 0}, "max_terms"),
+        ({"forced_first": 3}, "out of range"),
+        ({"forced_first": -1}, "out of range"),
+    ])
+    def test_bad_arguments_raise(self, kwargs, message):
+        problem = fake_problem(np.eye(4, 3), np.ones(4))
+        with pytest.raises(ValueError, match=message):
+            ofr_select(problem, Criterion.PRESS, **kwargs)
+
+    def test_stop_flag_ends_an_err_path_at_err_total(self):
+        # the target is a combination of two columns, so their ERRs sum to 1
+        rng = np.random.default_rng(5)
+        phi = rng.normal(size=(40, 6))
+        target = phi[:, 1] - 2.0 * phi[:, 4]
+        problem = fake_problem(phi, target)
+        path = ofr_select(problem, Criterion.ERR)
+        assert path.stop_reason == "cumulative ERR threshold"
+        assert sorted(path.term_indices) == [1, 4]
+        assert sum(s.err for s in path.steps) >= ERR_TOTAL
+        free = ofr_select(problem, Criterion.ERR, stop=False)
+        assert free.term_indices[:2] == path.term_indices
+        assert len(free.steps) == default_max_terms(6, 40)
+
 
 class TestPathProperties:
     @settings(max_examples=25, deadline=None)
@@ -254,7 +291,6 @@ class TestPathProperties:
         assert len(set(indices)) == len(indices)
         total_err = sum(s.err for s in path.steps)
         assert total_err <= 1.0 + 1e-9
-        assert path.residual_ss <= path.target_ss + 1e-9
         # coefficients reproduce the OLS fit on the same subset
         if indices:
             theta = back_substitute(path)
@@ -315,8 +351,7 @@ class TestBackSubstitute:
         phi = rng.normal(size=(40, 6))
         target = rng.normal(size=40)
         problem = fake_problem(phi, target)
-        path = ofr_select(problem, Criterion.PRESS, max_terms=4,
-                          stop=StopRule(press_first_increase=False))
+        path = ofr_select(problem, Criterion.PRESS, max_terms=4, stop=False)
         theta = back_substitute(path)
         direct = least_squares(problem, path.term_indices)
         fitted_path = phi[:, list(path.term_indices)] @ theta
@@ -329,7 +364,7 @@ def reference_ofr_select(
     criterion: Criterion = Criterion.PRESS,
     forced_first: int | None = None,
     max_terms: int | None = None,
-    stop: StopRule = StopRule(),
+    stop: bool = True,
 ) -> SelectionPath:
     """The OFR kernel that updates the candidates through a fancy-indexed
     write-back, ``work[:, rem] -= np.outer(w, coeffs)``.
@@ -341,9 +376,6 @@ def reference_ofr_select(
     phi = problem.phi
     target = problem.target
     n_rows, n_cols = phi.shape
-    if n_cols == 0:
-        return SelectionPath((), np.empty((0, 0)), float(target @ target),
-                             float(target @ target), "empty dictionary", 0)
     if max_terms is None:
         max_terms = default_max_terms(n_cols, n_rows)
     if max_terms < 1:
@@ -402,11 +434,7 @@ def reference_ofr_select(
                     stop_reason = "all candidates leverage-rejected"
                     break
                 j = int(np.argmin(press))
-                if (
-                    stop.press_first_increase
-                    and steps
-                    and press[j] > steps[-1].ms_press
-                ):
+                if stop and steps and press[j] > steps[-1].ms_press:
                     stop_reason = "PRESS increase"
                     break
                 best = int(idx[j])
@@ -445,7 +473,7 @@ def reference_ofr_select(
             acc[k, rem] = coeffs
             work[:, rem] -= np.outer(w, coeffs)
 
-        if criterion is Criterion.ERR and sum(s.err for s in steps) >= stop.err_total:
+        if stop and criterion is Criterion.ERR and sum(s.err for s in steps) >= ERR_TOTAL:
             stop_reason = "cumulative ERR threshold"
             break
 
@@ -453,10 +481,7 @@ def reference_ofr_select(
     triangular = np.eye(k)
     for j in range(k):
         triangular[:j, j] = acc[:j, selected[j]]
-    residual_ss = float(resid @ resid)
-    return SelectionPath(
-        tuple(steps), triangular, residual_ss, yy, stop_reason, n_evaluated
-    )
+    return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)
 
 
 def path_bits(path):
@@ -474,7 +499,6 @@ def path_bits(path):
         path.triangular.shape,
         path.triangular.view(np.int64).tolist(),
         back_substitute(path).view(np.int64).tolist(),
-        np.array([path.residual_ss, path.target_ss]).view(np.int64).tolist(),
         path.stop_reason,
         path.n_evaluated,
     )
@@ -511,9 +535,8 @@ class TestOfrMatchesReference:
         # after the exact fit every score is rounding noise, so a last-bit
         # change in any candidate's norm or projection changes the path
         problem = noise_free_cubic_problem()
-        never = StopRule(err_total=2.0, press_first_increase=False)
         for first in range(problem.phi.shape[1]):
-            assert_matches_reference(problem, criterion, forced_first=first, stop=never)
+            assert_matches_reference(problem, criterion, forced_first=first, stop=False)
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_duplicated_column_is_available_but_not_usable(self, criterion):
@@ -525,7 +548,7 @@ class TestOfrMatchesReference:
         for first in (2, 5, None):
             path = assert_matches_reference(
                 problem, criterion, forced_first=first, max_terms=6,
-                stop=StopRule(press_first_increase=False),
+                stop=criterion is Criterion.ERR,
             )
             assert len(set(path.term_indices) & {2, 5}) == 1
 
@@ -554,7 +577,7 @@ class TestOfrMatchesReference:
         for first in (0, 1):
             path = assert_matches_reference(
                 fake_problem(phi, target), criterion, forced_first=first, max_terms=3,
-                stop=StopRule(press_first_increase=False),
+                stop=criterion is Criterion.ERR,
             )
             W = orthogonal_columns(path, phi)
             kept = np.einsum("ij,ij->j", W, W) / np.einsum("ij,ij->j", phi, phi)[list(path.term_indices)]
@@ -565,8 +588,7 @@ class TestOfrMatchesReference:
         phi = rng.normal(size=(8, 12))
         target = rng.normal(size=8)
         path = assert_matches_reference(
-            fake_problem(phi, target), Criterion.PRESS, max_terms=8,
-            stop=StopRule(press_first_increase=False),
+            fake_problem(phi, target), Criterion.PRESS, max_terms=8, stop=False,
         )
         assert path.stop_reason == "all candidates leverage-rejected"
 
@@ -597,8 +619,7 @@ class TestOfrMatchesReference:
         phi = rng.normal(size=(70, 24))
         target = phi[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=70)
         path = assert_matches_reference(
-            fake_problem(phi, target), Criterion.PRESS,
-            stop=StopRule(press_first_increase=False),
+            fake_problem(phi, target), Criterion.PRESS, stop=False,
         )
         assert path.stop_reason == "max_terms"
         assert len(path.steps) == default_max_terms(24, 70)

@@ -33,6 +33,10 @@ class TestIoData:
         with pytest.raises(DataError):
             IoData(np.array([1.0, np.nan]), np.zeros(2))
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(DataError, match="one-dimensional"):
+            IoData(np.zeros((3, 2)), np.zeros((3, 2)))
+
     def test_slice_bounds(self):
         data = IoData(np.arange(5.0), np.arange(5.0))
         assert len(data.slice(1, 4)) == 3

@@ -15,6 +15,7 @@ from narxid import (
     Prbs,
     SearchConfig,
     SearchResult,
+    back_substitute,
     bic_of,
     build_linear_dictionary,
     build_problem,
@@ -25,6 +26,7 @@ from narxid import (
     iterative_ofr,
     least_squares,
     ofr_select,
+    parse_term,
     simulate_free_run,
     stability_probe,
 )
@@ -110,6 +112,11 @@ class TestIterativeOfr:
         result = iterative_ofr(d, [seed_term], data, cfg)
         assert result.iterations == 1
         assert len({e.seed_term for e in result.pool}) == 1
+
+    def test_preselect_term_outside_the_dictionary(self):
+        outside = parse_term("y(t-3)")
+        with pytest.raises(ConfigError, match="preselect term not in dictionary"):
+            iterative_ofr(full_dictionary(), [outside], benchmark_data(train=120))
 
     def test_matches_exhaustive_path_search_on_small_dictionary(self):
         data = benchmark_data(train=150)
@@ -198,7 +205,8 @@ class TestExactFitPruning:
         reference = least_squares(problem, indices)
         assert_allclose(best.model.coefficients, reference, rtol=1e-9, atol=1e-12)
         resid = problem.target - problem.phi[:, indices] @ reference
-        assert best.path.residual_ss == pytest.approx(
+        path_resid = problem.target - problem.phi[:, indices] @ back_substitute(best.path)
+        assert float(path_resid @ path_resid) == pytest.approx(
             float(resid @ resid), abs=1e-20
         )
 

@@ -107,6 +107,10 @@ class TestSimulateFreeRun:
         with pytest.raises(InsufficientDataError):
             simulate_free_run(dc_motor_model(), np.zeros(10), [0.0])
 
+    def test_input_shorter_than_the_lags(self):
+        with pytest.raises(InsufficientDataError, match="shorter than the model's lags"):
+            simulate_free_run(dc_motor_model(), np.zeros(1), [0.0, 0.0])
+
     def test_bias_only_model(self):
         m = Model((), (), bias=0.7)
         run = simulate_free_run(m, np.zeros(5), [])
@@ -341,6 +345,10 @@ class TestPredictOneStep:
         data = IoData(np.zeros(5), np.arange(5.0))
         m = Model((), (), bias=2.5)
         assert_allclose(predict_one_step(m, data), [2.5] * 5)
+
+    def test_record_no_longer_than_the_max_lag(self):
+        with pytest.raises(InsufficientDataError, match="maximum lag"):
+            predict_one_step(dc_motor_model(), IoData(np.zeros(2), np.zeros(2)))
 
     def test_one_step_beats_free_run_on_fitted_model(self):
         # identify a 3-term model on benchmark data, then compare error variances

@@ -131,6 +131,13 @@ class TestExpandDictionary:
         with pytest.raises(ConfigError):
             expand_dictionary([quad], 2)
 
+    def test_rejects_degree_zero_and_a_base_without_variables(self):
+        base = build_linear_dictionary(LagSpec(2, 2))
+        with pytest.raises(ConfigError, match="degree must be >= 1"):
+            expand_dictionary(base, 0)
+        with pytest.raises(ConfigError, match="no variables"):
+            expand_dictionary([CONSTANT], 2)
+
     def test_deterministic_ordering(self):
         spec = LagSpec(3, 2, include_constant=False)
         a = expand_dictionary(build_linear_dictionary(spec), 3)

@@ -195,3 +195,11 @@ class TestContracts:
             residual_tests(np.zeros(10), np.zeros(9))
         with pytest.raises(DataError):
             residual_tests(np.zeros(100), np.zeros(100), max_lag=100)
+        with pytest.raises(DataError, match="at least 4 samples"):
+            residual_tests(np.zeros(3), np.zeros(3))
+
+    def test_unknown_test_name_raises_key_error(self):
+        rng = np.random.default_rng(7)
+        report = residual_tests(rng.normal(size=50), rng.normal(size=50))
+        with pytest.raises(KeyError):
+            report["no such test"]
