@@ -1,16 +1,25 @@
 """Orthogonal forward regression along a single orthogonalization path.
 
-Term selection is greedy: at each step every unselected candidate is
-orthogonalized against the already-selected terms (modified Gram-Schmidt,
-maintained incrementally across the whole candidate set) and scored either by
-the error reduction ratio (ERR, maximized) or by the mean-squared PRESS
-statistic (leave-one-out one-step error, minimized).  The first term of the
-path can be forced, which is how multi-path searches enumerate
-orthogonalization paths.
+Term selection is greedy: at each step every unselected candidate is scored,
+as if orthogonalized against the already-selected terms, either by the
+mean-squared PRESS statistic (leave-one-out one-step error, minimized) or by
+the error reduction ratio (ERR, maximized).  The first term of the path can
+be forced, which is how multi-path searches enumerate orthogonalization
+paths.  Each criterion has its own kernel behind :func:`ofr_select`:
 
-Both metrics are recorded for every selected step regardless of which one
-drives the selection, along with the unit upper-triangular factors needed to
-recover coefficients in the original basis.
+- PRESS needs every row's leverage, so its kernel keeps the candidates
+  orthogonalized in place (modified Gram-Schmidt, maintained incrementally
+  across the whole candidate set).
+- ERR needs only inner products, so its kernel keeps each candidate's
+  orthogonalized squared norm and projection on the target, downdated after
+  every step from one product of the new orthogonal column with phi
+  (Korenberg, Biol. Cybern. 60, 1989; Chen, Billings & Luo, Int. J. Control
+  50, 1989).
+
+Both kernels take a column through the same step, which records both
+metrics whichever one drives the selection, along with the unit
+upper-triangular factors needed to recover coefficients in the original
+basis.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LeverageError, SingularityError
+from .errors import DataError, LeverageError, SingularityError
 from .regression import RANK_TOL, RegressionProblem
 
 __all__ = [
@@ -90,12 +99,14 @@ def err_of(w: np.ndarray, target: np.ndarray) -> float:
 
     ``(w.y)^2 / ((w.w)(y.y))``: the fraction of the target's (uncentered)
     energy explained by ``w``.  Raises :class:`SingularityError` for a
-    numerically zero column.
+    numerically zero column and :class:`DataError` for a zero target.
     """
     ww = float(w @ w)
     if ww <= 0.0 or not np.isfinite(ww):
         raise SingularityError("orthogonalized candidate has zero norm")
     yy = float(target @ target)
+    if yy == 0.0:
+        raise DataError("target is zero; its ERR is undefined")
     return float(w @ target) ** 2 / (ww * yy)
 
 
@@ -166,43 +177,101 @@ def ofr_select(
     leverage guard and the ``max_terms`` cap end a path either way.  The
     reason is recorded.
     """
-    phi = problem.phi
-    target = problem.target
-    n_rows, n_cols = phi.shape
+    n_rows, n_cols = problem.phi.shape
     if max_terms is None:
         max_terms = default_max_terms(n_cols, n_rows)
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if forced_first is not None and not (0 <= forced_first < n_cols):
         raise ValueError(f"forced_first index {forced_first} out of range")
+    kernel = _err_path if criterion is Criterion.ERR else _press_path
+    return kernel(problem, forced_first, max_terms, stop)
 
-    work = phi.astype(float, copy=True)  # candidates, orthogonalized in place
-    orig_ss = np.einsum("ij,ij->j", phi, phi)
-    yy = float(target @ target)
 
-    w_cols: list[np.ndarray] = []
-    w_ss: list[float] = []
-    steps: list[PathStep] = []
-    # acc[i, c]: coefficient of the i-th selected orthogonal column in the
-    # running expansion of candidate column c (the triangular record); a
-    # path selects at most n_cols terms, whatever max_terms says.
-    acc = np.zeros((min(max_terms, n_cols), n_cols))
-    resid = target.astype(float, copy=True)
-    leverage = np.zeros(n_rows)
-    available = np.ones(n_cols, dtype=bool)
+class _Path:
+    """What a path records as it takes columns, whichever kernel scores them:
+    the orthogonal columns, the residual and leverage of the fit so far, the
+    steps, and ``acc[i, c]``, the coefficient of the i-th orthogonal column
+    in the expansion of candidate column c (the triangular record)."""
+
+    def __init__(self, problem: RegressionProblem, max_terms: int):
+        phi = problem.phi
+        n_rows, n_cols = phi.shape
+        self.target = problem.target
+        self.yy = float(self.target @ self.target)
+        self.orig_ss = np.einsum("ij,ij->j", phi, phi)
+        # a path selects at most n_cols terms, whatever max_terms says
+        k_max = min(max_terms, n_cols)
+        self.w_rows = np.empty((k_max, n_rows))  # orthogonal column i in row i
+        self.w_ss: list[float] = []
+        self.acc = np.zeros((k_max, n_cols))
+        self.resid = self.target.astype(float, copy=True)
+        self.leverage = np.zeros(n_rows)
+        self.available = np.ones(n_cols, dtype=bool)
+        self.steps: list[PathStep] = []
+
+    def take(self, best: int, w: np.ndarray) -> float:
+        """Select column ``best``, orthogonalized as ``w``; returns w.w.
+
+        When the norm has collapsed, ``w`` gets one re-orthogonalization
+        pass, in place, with the corrections folded into the record.
+        """
+        k = len(self.steps)
+        ws = float(w @ w)
+        if ws * _REORTH_RATIO**2 < self.orig_ss[best]:
+            for i in range(k):
+                c = float(self.w_rows[i] @ w) / self.w_ss[i]
+                w -= c * self.w_rows[i]
+                self.acc[i, best] += c
+            ws = float(w @ w)
+
+        g = float(self.resid @ w) / ws
+        err = float(w @ self.target) ** 2 / (ws * self.yy)
+        self.resid = self.resid - g * w
+        self.leverage = self.leverage + w**2 / ws
+        denom = 1.0 - self.leverage
+        if np.all(denom >= LEVERAGE_GUARD):
+            ms_press = float(np.mean((self.resid / denom) ** 2))
+        else:
+            ms_press = float("inf")
+
+        self.w_rows[k] = w
+        self.w_ss.append(ws)
+        self.steps.append(PathStep(best, err, ms_press, g))
+        self.available[best] = False
+        return ws
+
+    def finish(self, stop_reason: str, n_evaluated: int) -> SelectionPath:
+        steps = self.steps
+        # column c of acc is written only above the row of the step that
+        # selects c, so the gather is strictly upper triangular; take keeps
+        # it C-ordered, so back_substitute's row slices stay contiguous
+        triangular = self.acc[: len(steps)].take([s.term_index for s in steps], axis=1)
+        np.fill_diagonal(triangular, 1.0)
+        return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)
+
+
+def _press_path(
+    problem: RegressionProblem, forced_first: int | None, max_terms: int, stop: bool
+) -> SelectionPath:
+    """PRESS selection: every row's leverage counts, so the candidates are
+    orthogonalized in place (modified Gram-Schmidt) and scored at n x M."""
+    path = _Path(problem, max_terms)
+    work = problem.phi.astype(float, copy=True)
+    n_rows, n_cols = work.shape
     # n x M floats for one step's PRESS numerators, then for its update
     scratch = np.empty(n_rows * n_cols)
     n_evaluated = 0
     stop_reason = "max_terms"
 
-    while len(steps) < max_terms:
+    while len(path.steps) < max_terms:
         cand_ss = np.einsum("ij,ij->j", work, work)
-        usable = available & (cand_ss > RANK_TOL * orig_ss)
+        usable = path.available & (cand_ss > RANK_TOL * path.orig_ss)
         if not usable.any():
             stop_reason = "no usable candidates (rank tolerance)"
             break
 
-        if not steps and forced_first is not None:
+        if not path.steps and forced_first is not None:
             if not usable[forced_first]:
                 stop_reason = "forced first term is rank-deficient"
                 break
@@ -212,67 +281,39 @@ def ofr_select(
             n_evaluated += len(idx)
             wm = work[:, idx]
             ssm = cand_ss[idx]
-            proj = resid @ wm
-            if criterion is Criterion.ERR:
-                # resid.w equals target.w for columns orthogonal to the span
-                scores = proj**2 / (ssm * yy)
-                best = int(idx[int(np.argmax(scores))])
-            else:
-                # deleted residuals, numerators in scratch and denominators
-                # over wm: the elementwise operations of out-of-place
-                # expressions, without their n x M temporaries.  work[:, idx]
-                # gathers in Fortran order, so np.mean below sums each column
-                # pairwise; the numerators keep that layout to keep its bits.
-                deleted_num = np.multiply(
-                    wm, proj / ssm, out=scratch[: wm.size].reshape(wm.shape, order="F")
-                )
-                np.subtract(resid[:, None], deleted_num, out=deleted_num)
-                deleted_den = np.square(wm, out=wm)
-                deleted_den /= ssm
-                np.subtract((1.0 - leverage)[:, None], deleted_den, out=deleted_den)
-                rejected = (deleted_den < LEVERAGE_GUARD).any(axis=0)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    deleted_num /= deleted_den
-                    deleted_num *= deleted_num
-                    press = np.mean(deleted_num, axis=0)
-                press[rejected] = np.inf
-                if not np.isfinite(press).any():
-                    stop_reason = "all candidates leverage-rejected"
-                    break
-                j = int(np.argmin(press))
-                if stop and steps and press[j] > steps[-1].ms_press:
-                    stop_reason = "PRESS increase"
-                    break
-                best = int(idx[j])
+            proj = path.resid @ wm
+            # deleted residuals, numerators in scratch and denominators over
+            # wm: the elementwise operations of out-of-place expressions,
+            # without their n x M temporaries.  work[:, idx] gathers in
+            # Fortran order, so np.mean below sums each column pairwise; the
+            # numerators keep that layout to keep its bits.
+            deleted_num = np.multiply(
+                wm, proj / ssm, out=scratch[: wm.size].reshape(wm.shape, order="F")
+            )
+            np.subtract(path.resid[:, None], deleted_num, out=deleted_num)
+            deleted_den = np.square(wm, out=wm)
+            deleted_den /= ssm
+            np.subtract((1.0 - path.leverage)[:, None], deleted_den, out=deleted_den)
+            rejected = (deleted_den < LEVERAGE_GUARD).any(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                deleted_num /= deleted_den
+                deleted_num *= deleted_num
+                press = np.mean(deleted_num, axis=0)
+            press[rejected] = np.inf
+            if not np.isfinite(press).any():
+                stop_reason = "all candidates leverage-rejected"
+                break
+            j = int(np.argmin(press))
+            if stop and path.steps and press[j] > path.steps[-1].ms_press:
+                stop_reason = "PRESS increase"
+                break
+            best = int(idx[j])
 
-        k = len(steps)
+        k = len(path.steps)
         w = work[:, best].copy()
-        ws = float(w @ w)
-        if ws * _REORTH_RATIO**2 < orig_ss[best]:
-            # norm collapsed; one re-orthogonalization pass against the
-            # selected columns, folding the corrections into the record
-            for i in range(k):
-                c = float(w_cols[i] @ w) / w_ss[i]
-                w -= c * w_cols[i]
-                acc[i, best] += c
-            ws = float(w @ w)
+        ws = path.take(best, w)
 
-        g = float(resid @ w) / ws
-        err = float(w @ target) ** 2 / (ws * yy)
-        resid = resid - g * w
-        leverage = leverage + w**2 / ws
-        denom = 1.0 - leverage
-        if np.all(denom >= LEVERAGE_GUARD):
-            ms_press = float(np.mean((resid / denom) ** 2))
-        else:
-            ms_press = float("inf")
-
-        w_cols.append(w)
-        w_ss.append(ws)
-        steps.append(PathStep(best, err, ms_press, g))
-        available[best] = False
-
-        rem = np.where(available)[0]
+        rem = np.where(path.available)[0]
         if rem.size:
             # BLAS gemv and einsum round a column's sums differently
             # depending on where it sits in the block, so the projections
@@ -283,16 +324,66 @@ def ofr_select(
             # runs in place over the full block: row acc[k] is zero outside
             # rem, and the selected columns, which lose a zero multiple of
             # w, are never read again.
-            acc[k, rem] = (w @ work[:, rem]) / ws
-            work -= np.multiply(w[:, None], acc[k], out=scratch.reshape(work.shape))
+            path.acc[k, rem] = (w @ work[:, rem]) / ws
+            work -= np.multiply(w[:, None], path.acc[k], out=scratch.reshape(work.shape))
 
-        if stop and criterion is Criterion.ERR and sum(s.err for s in steps) >= ERR_TOTAL:
+    return path.finish(stop_reason, n_evaluated)
+
+
+def _err_path(
+    problem: RegressionProblem, forced_first: int | None, max_terms: int, stop: bool
+) -> SelectionPath:
+    """ERR selection needs only inner products, so the candidates are never
+    orthogonalized.  Each candidate's orthogonalized squared norm and its
+    projection on the target are downdated after every step from ``d``, the
+    new orthogonal column's products with the orthogonalized candidates:
+    one gemv over phi per step.  The selected column itself is formed
+    explicitly from phi and the record, for the re-orthogonalization test
+    and the recorded metrics.  The Gram matrix is never formed: it would
+    square phi's condition number."""
+    phi = problem.phi
+    path = _Path(problem, max_terms)
+    cand_ss = path.orig_ss.copy()
+    cand_proj = problem.target @ phi
+    n_evaluated = 0
+    stop_reason = "max_terms"
+
+    while len(path.steps) < max_terms:
+        usable = path.available & (cand_ss > RANK_TOL * path.orig_ss)
+        if not usable.any():
+            stop_reason = "no usable candidates (rank tolerance)"
+            break
+
+        if not path.steps and forced_first is not None:
+            if not usable[forced_first]:
+                stop_reason = "forced first term is rank-deficient"
+                break
+            best = forced_first
+        else:
+            idx = np.where(usable)[0]
+            n_evaluated += len(idx)
+            scores = cand_proj[idx] ** 2 / (cand_ss[idx] * path.yy)
+            best = int(idx[int(np.argmax(scores))])
+
+        k = len(path.steps)
+        w = phi[:, best] - path.acc[:k, best] @ path.w_rows[:k]
+        ws = path.take(best, w)
+
+        rem = np.where(path.available)[0]
+        if rem.size:
+            # candidate c orthogonalized is phi_c - sum_i acc[i, c] w_i, so
+            # its product with w is w.phi_c less w's rounding-level products
+            # with the earlier columns times acc[:, c]: without that term the
+            # downdates pick up errors of phi's scale on ill-conditioned
+            # dictionaries
+            d = (w @ phi - (path.w_rows[:k] @ w) @ path.acc[:k])[rem]
+            coeffs = d / ws
+            path.acc[k, rem] = coeffs
+            cand_ss[rem] -= coeffs * d
+            cand_proj[rem] -= coeffs * float(w @ problem.target)
+
+        if stop and sum(s.err for s in path.steps) >= ERR_TOTAL:
             stop_reason = "cumulative ERR threshold"
             break
 
-    # column c of acc is written only above the row of the step that
-    # selects c, so the gather is strictly upper triangular; take keeps it
-    # C-ordered, so back_substitute's row slices stay contiguous
-    triangular = acc[: len(steps)].take([s.term_index for s in steps], axis=1)
-    np.fill_diagonal(triangular, 1.0)
-    return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)
+    return path.finish(stop_reason, n_evaluated)

@@ -93,8 +93,10 @@ class RegressionProblem:
 def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
     """Assemble the regression problem for ``dictionary`` over ``data``.
 
-    Requires more samples than the dictionary's maximum lag; warns when the
-    number of usable rows does not exceed the number of candidates.
+    Requires more samples than the dictionary's maximum lag, and an output
+    with nonzero energy on the fitted rows (:class:`DataError` otherwise:
+    every ERR divides by that energy); warns when the number of usable rows
+    does not exceed the number of candidates.
     """
     offset = dictionary.max_lag
     L = len(data)
@@ -102,8 +104,13 @@ def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
         raise InsufficientDataError(
             f"record of length {L} cannot support maximum lag {offset}"
         )
-    phi = term_columns(dictionary.terms, data.u, data.y, offset)
     target = data.y[offset:].copy()
+    if float(target @ target) == 0.0:
+        raise DataError(
+            f"output has zero energy on the fitted rows (samples {offset}..{L - 1}); "
+            "there is nothing to identify"
+        )
+    phi = term_columns(dictionary.terms, data.u, data.y, offset)
     if phi.shape[0] <= phi.shape[1]:
         warnings.warn(
             f"only {phi.shape[0]} usable rows for {phi.shape[1]} candidate terms; "

@@ -100,6 +100,17 @@ class TestIdentify:
         code = main(["identify", "--config", str(cfg)])
         assert code == 3
 
+    @pytest.mark.parametrize("criterion", ["press", "err"])
+    def test_zero_output_exits_3(self, tmp_path, capsys, criterion):
+        data = tmp_path / "zero.csv"
+        write_timeseries_csv(data, np.random.default_rng(3).normal(size=120), np.zeros(120))
+        code = main([
+            "identify", "--data", str(data), "--criterion", criterion,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert "output has zero energy on the fitted rows" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, bench_csv, capsys):
         code = main(["identify", "--data", str(bench_csv), "--bogus"])
         assert code == 2

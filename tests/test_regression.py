@@ -15,6 +15,7 @@ from narxid import (
     dc_motor_reference,
     expand_dictionary,
     least_squares,
+    RegressionProblem,
     parse_term,
 )
 from narxid.terms import Dictionary
@@ -74,6 +75,20 @@ class TestBuildProblem:
         with pytest.raises(InsufficientDataError):
             build_problem(data, d)
 
+    def test_output_without_energy_rejected(self):
+        # y(0) is only ever a regressor; the fitted rows start at the lag
+        y = np.zeros(30)
+        y[0] = 1.0
+        u = np.random.default_rng(4).normal(size=30)
+        d = build_linear_dictionary(LagSpec(1, 1, include_constant=True))
+        with pytest.raises(DataError, match="output has zero energy on the fitted rows"):
+            build_problem(IoData(u, y), d)
+        y[29] = 1e-170  # its square underflows to zero
+        with pytest.raises(DataError, match="zero energy"):
+            build_problem(IoData(u, y), d)
+        y[29] = 1e-150
+        assert build_problem(IoData(u, y), d).target[-1] == 1e-150
+
     def test_warns_when_underdetermined(self):
         data = IoData(np.arange(6.0), np.arange(6.0))
         d = expand_dictionary(
@@ -106,10 +121,7 @@ class TestLeastSquares:
         q, _ = np.linalg.qr(rng.normal(size=(30, 2)))
         target = rng.normal(size=30)
         d = small_dictionary("u(t-1)", "u(t-2)")
-        problem = build_problem(
-            IoData(np.zeros(32), np.zeros(32)), d
-        )
-        problem = type(problem)(q, target, d, 2)
+        problem = RegressionProblem(q, target, d, 2)
         theta = least_squares(problem)
         assert_allclose(theta, q.T @ target, atol=1e-12)
 
@@ -118,9 +130,7 @@ class TestLeastSquares:
         phi = rng.normal(size=(20, 4))
         target = rng.normal(size=20)
         d = small_dictionary("y(t-1)", "y(t-2)", "u(t-1)", "u(t-2)")
-        problem = type(build_problem(
-            IoData(np.zeros(22), np.zeros(22)), d
-        ))(phi, target, d, 2)
+        problem = RegressionProblem(phi, target, d, 2)
         theta = least_squares(problem)
         expected = np.linalg.solve(phi.T @ phi, phi.T @ target)
         assert_allclose(theta, expected, rtol=1e-10)
@@ -130,9 +140,7 @@ class TestLeastSquares:
         phi = rng.normal(size=(40, 3))
         target = rng.normal(size=40)
         d = small_dictionary("y(t-1)", "u(t-1)", "u(t-2)")
-        problem = type(build_problem(
-            IoData(np.zeros(42), np.zeros(42)), d
-        ))(phi, target, d, 2)
+        problem = RegressionProblem(phi, target, d, 2)
         theta = least_squares(problem)
         best = np.sum((target - phi @ theta) ** 2)
         for _ in range(20):
@@ -144,9 +152,7 @@ class TestLeastSquares:
         col = rng.normal(size=30)
         phi = np.column_stack([col, 2.0 * col])
         d = small_dictionary("u(t-1)", "u(t-2)")
-        problem = type(build_problem(
-            IoData(np.zeros(32), np.zeros(32)), d
-        ))(phi, rng.normal(size=30), d, 2)
+        problem = RegressionProblem(phi, rng.normal(size=30), d, 2)
         with pytest.raises(SingularityError) as exc_info:
             least_squares(problem)
         assert exc_info.value.column == "u(t-2)"

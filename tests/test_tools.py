@@ -1,0 +1,113 @@
+"""tools/compare_artifacts.py on hand-made artifact directories: the byte
+diff and the semantic diff of identification reports."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TOOL = load_tool()
+
+
+def stage(terms, coefficients, bias="0", **counts):
+    return {
+        "bias": bias, "bic": -100.0, "coefficients": [repr(c) for c in coefficients],
+        "converged": True, "dictionary_size": 9, "iterations": 2, "msse": 1e-3,
+        "n_evaluations": counts.get("n_evaluations", 324),
+        "pool_size": counts.get("pool_size", 9),
+        "pool_unstable": counts.get("pool_unstable", 0),
+        "stability": {"stable": True}, "terms": list(terms),
+    }
+
+
+ARX = stage(["y(t-1)", "u(t-1)"], [0.5, 1.0], bias="0.25")
+NARX = stage(["y(t-1)", "u(t-1)", "y(t-1)*u(t-1)"], [0.5, 1.0, -0.125], n_evaluations=1000)
+
+
+def write_run(root, narx, arx=ARX, chosen="NARX"):
+    """One identify operation's directory, as the tool's first form writes it."""
+    op = root / "reduced-err" / "case-c-err-m2"
+    op.mkdir(parents=True)
+    doc = {"schema": "narxid-report/1", "chosen": chosen, "arx": arx, "narx": narx}
+    (op / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (op / "simulation.csv").write_text("t,y\r\n1,0.5\r\n")
+    (root / "reduced-err" / "inputs").mkdir()
+    # .cfg inputs name their own paths and are never compared
+    (root / "reduced-err" / "inputs" / "run.cfg").write_text(f"data = {root}/d.csv\n")
+    return op
+
+
+def run_tool(capsys, *argv):
+    code = TOOL.main(list(argv))
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_identical_directories(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX)
+    write_run(tmp_path / "b", NARX)
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0 and lines == ["2 files compared, 0 differ"]
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0 and lines[1:] == ["1 reports compared, 0 differ"]
+
+
+def test_order_only_change(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX)
+    reordered = stage(
+        ["u(t-1)", "y(t-1)", "y(t-1)*u(t-1)"], [1.0 + 2e-15, 0.5, -0.125], n_evaluations=1000,
+    )
+    write_run(tmp_path / "b", reordered)
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
+    assert lines == ["differs: reduced-err/case-c-err-m2/report.json", "2 files compared, 1 differ"]
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    rows = [line.split("  ") for line in lines[1:-1]]
+    rows = [[cell.strip() for cell in row if cell.strip()] for row in rows]
+    assert rows == [
+        ["reduced-err/case-c-err-m2", "arx", "same terms, same order", "0.0e+00", "-"],
+        ["reduced-err/case-c-err-m2", "narx", "same terms, other order", "2.0e-15", "-"],
+    ]
+    assert lines[-1] == "1 reports compared, 1 differ"
+
+
+def test_changed_term_set_and_counts(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX)
+    changed = stage(
+        ["y(t-1)", "u(t-1)", "u(t-2)^2"], [0.5, 1.5, 0.01],
+        n_evaluations=1200, pool_size=8, pool_unstable=1,
+    )
+    write_run(tmp_path / "b", changed)
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    (narx,) = [line for line in lines if " narx " in line]
+    assert "terms differ: added u(t-2)^2; dropped y(t-1)*u(t-1)" in narx
+    assert "5.0e-01" in narx  # u(t-1): 1.0 -> 1.5
+    assert narx.endswith("n_evaluations 1000 -> 1200, pool_size 9 -> 8, pool_unstable 0 -> 1")
+
+
+def test_stage_present_on_one_side(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX)
+    write_run(tmp_path / "b", None, chosen="ARX")
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    assert any(" narx " in line and "stage only in A" in line for line in lines)
+    assert any("chosen NARX -> ARX" in line for line in lines)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (1.0, 1.0, 0.0), (2.0, 3.0, 0.5), (0.0, 0.0, 0.0), (0.0, 1e-300, float("inf")),
+])
+def test_relative_change(a, b, expected):
+    assert TOOL._relative_change(a, b) == expected

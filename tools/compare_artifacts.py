@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/compare_artifacts.py --tree PATH --seed N --out DIR [--workloads a,b]
     python3 tools/compare_artifacts.py --diff DIR_A DIR_B
+    python3 tools/compare_artifacts.py --semantic DIR_A DIR_B
 
 The first form sets up each workload of ``PATH/bench/workloads.py`` with
 seed ``N`` and runs each of its operations once through ``narxid.cli.main``,
@@ -17,14 +18,25 @@ The second form lists the files that differ between two such directories,
 or exist in only one, and exits 1 if any do.  The ``.cfg`` inputs are not
 compared, because they name the paths of their own records.
 
+The third form reads every ``report.json`` that differs between the two
+directories and prints one row per identification stage: whether B keeps
+A's terms in the same order, keeps them in another order, or changes the
+set (naming the terms added and dropped), the largest relative change of
+a coefficient (the bias included) of a term both keep, and the counts
+(``n_evaluations``, ``pool_size``, ``pool_unstable``) that changed.  It
+reports and does not judge: it exits 0 whatever it finds.
+
 A change that must keep the program's output runs the first form on a
 checkout of the parent commit and on the change, at the same seed, and
-then the second form on the two directories.
+then the second form on the two directories.  A change that moves output
+bits on purpose quotes the third form's table.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +44,8 @@ from pathlib import Path
 
 WORKLOAD_NAMES = ("small-batch", "large-dict", "reduced-err", "replay-long")
 IGNORED_SUFFIXES = (".cfg",)
+STAGES = ("arx", "narx")
+COUNTS = ("n_evaluations", "pool_size", "pool_unstable")
 
 # Runs in the fresh interpreter: argv is tree, seed, out, workload names.
 CHILD = r"""
@@ -108,11 +122,72 @@ def diff_dirs(a: Path, b: Path) -> int:
     return 1 if differ else 0
 
 
+def _coefficients(stage: dict) -> dict[str, float]:
+    """Coefficient of each term, and of the bias, as the report writes them."""
+    coefs = dict(zip(stage["terms"], map(float, stage["coefficients"])))
+    coefs["(bias)"] = float(stage["bias"])
+    return coefs
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def compare_stage(a: dict | None, b: dict | None) -> tuple[str, str, str]:
+    """How stage ``b`` differs from stage ``a``: the term verdict, the
+    largest relative coefficient change and the changed counts."""
+    if a is None or b is None:
+        return ("no stage in either" if a is b else f"stage only in {'B' if a is None else 'A'}"), "-", "-"
+    terms_a, terms_b = a["terms"], b["terms"]
+    if terms_a == terms_b:
+        verdict = "same terms, same order"
+    elif sorted(terms_a) == sorted(terms_b):
+        verdict = "same terms, other order"
+    else:
+        added = ", ".join(t for t in terms_b if t not in terms_a) or "-"
+        dropped = ", ".join(t for t in terms_a if t not in terms_b) or "-"
+        verdict = f"terms differ: added {added}; dropped {dropped}"
+    coefs_a, coefs_b = _coefficients(a), _coefficients(b)
+    change = max(_relative_change(coefs_a[t], coefs_b[t]) for t in coefs_a.keys() & coefs_b.keys())
+    counts = ", ".join(f"{k} {a[k]} -> {b[k]}" for k in COUNTS if a[k] != b[k]) or "-"
+    return verdict, f"{change:.1e}", counts
+
+
+def semantic_diff(a: Path, b: Path) -> int:
+    """Print what changed in each identification that differs; always 0."""
+    reports_a = {p.relative_to(a).parent for p in a.rglob("report.json")}
+    reports_b = {p.relative_to(b).parent for p in b.rglob("report.json")}
+    rows = [("operation", "stage", "terms", "max rel coef change", "counts changed")]
+    differ = 0
+    for op in sorted(reports_a | reports_b):
+        if op not in reports_a or op not in reports_b:
+            differ += 1
+            rows.append((str(op), "-", f"report only in {'A' if op in reports_a else 'B'}", "-", "-"))
+            continue
+        text_a, text_b = (a / op / "report.json").read_text(), (b / op / "report.json").read_text()
+        if text_a == text_b:
+            continue
+        differ += 1
+        doc_a, doc_b = json.loads(text_a), json.loads(text_b)
+        for stage in STAGES:
+            rows.append((str(op), stage, *compare_stage(doc_a[stage], doc_b[stage])))
+        if doc_a["chosen"] != doc_b["chosen"]:
+            rows.append((str(op), "-", f"chosen {doc_a['chosen']} -> {doc_b['chosen']}", "-", "-"))
+    widths = [max(len(row[i]) for row in rows) for i in range(4)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), row[4], sep="  ")
+    print(f"{len(reports_a | reports_b)} reports compared, {differ} differ")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tree", type=Path, help="checkout whose src/ and bench/ to run")
     mode.add_argument("--diff", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"))
+    mode.add_argument("--semantic", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"))
     parser.add_argument("--seed", type=int, default=332)
     parser.add_argument("--out", type=Path, help="empty directory for the artifacts")
     parser.add_argument(
@@ -122,6 +197,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.diff:
         return diff_dirs(*args.diff)
+    if args.semantic:
+        return semantic_diff(*args.semantic)
     if args.out is None:
         parser.error("--tree needs --out")
     workloads = args.workloads.split(",")
