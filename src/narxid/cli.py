@@ -227,6 +227,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "identify": _cmd_identify,
+    "simulate": _cmd_simulate,
+    "validate": _cmd_validate,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -234,15 +242,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "identify":
-            return _cmd_identify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,7 +175,8 @@ def ofr_select(
     ERR path ends once its cumulative ERR reaches ``ERR_TOTAL`` and a PRESS
     path at the first PRESS increase; running out of candidates, the
     leverage guard and the ``max_terms`` cap end a path either way.  The
-    reason is recorded.
+    reason is recorded.  A zero target raises :class:`DataError`: every
+    ERR divides by its energy.
     """
     n_rows, n_cols = problem.phi.shape
     if max_terms is None:
@@ -199,6 +200,8 @@ class _Path:
         n_rows, n_cols = phi.shape
         self.target = problem.target
         self.yy = float(self.target @ self.target)
+        if self.yy == 0.0:
+            raise DataError("target is zero; its ERR is undefined")
         self.orig_ss = np.einsum("ij,ij->j", phi, phi)
         # a path selects at most n_cols terms, whatever max_terms says
         k_max = min(max_terms, n_cols)

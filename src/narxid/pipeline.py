@@ -24,6 +24,7 @@ so the cost of each method is observable.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -234,11 +235,19 @@ def _rejection_note(pool: ModelPool) -> str:
     """Why each candidate of a stage with no selectable one was rejected."""
     diverged = sum(e.verdict.diverged for e in pool)
     too_variable = sum(not (e.verdict.stable or e.verdict.diverged) for e in pool)
+    # a probe-stable entry with a finite training error lacks only a BIC,
+    # which needs fewer terms than fitted rows
+    saturated = sum(e.verdict.stable and math.isfinite(e.msse) for e in pool)
+    run_diverged = len(pool) - diverged - too_variable - saturated
+    if saturated:
+        tail = (f", {run_diverged} diverged on the training run and {saturated} "
+                f"had as many terms as fitted rows (BIC undefined)")
+    else:
+        tail = f" and {run_diverged} diverged on the training run"
     return (
         f"nonlinear stage found no stable candidate, so the linear model is kept: "
         f"of {len(pool)} candidates, {diverged} diverged under the probe, "
-        f"{too_variable} had probe variance above epsilon and "
-        f"{len(pool) - diverged - too_variable} diverged on the training run"
+        f"{too_variable} had probe variance above epsilon{tail}"
     )
 
 

@@ -98,23 +98,17 @@ class PoolEntry:
         return self.verdict.stable and np.isfinite(self.bic)
 
 
-@dataclass
-class ModelPool:
-    """All candidate models examined by a search, stable or not.
+class ModelPool(tuple):
+    """All candidate models examined by a search, stable or not: an
+    immutable tuple of :class:`PoolEntry` in the order they were computed.
 
     Unstable entries are retained for reporting but never selected.
     """
 
-    entries: list[PoolEntry] = field(default_factory=list)
+    __slots__ = ()
 
     def stable(self) -> list[PoolEntry]:
-        return [e for e in self.entries if e.selectable]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+        return [e for e in self if e.selectable]
 
 
 @dataclass(frozen=True)
@@ -354,7 +348,7 @@ def iterative_ofr(
             break
         seeds = winner.path.term_indices
 
-    pool = ModelPool([e for e in table.values() if e is not None])
+    pool = ModelPool(e for e in table.values() if e is not None)
     if not winners:
         raise IdentificationError(
             "no stable candidate model in any iteration", pool=pool

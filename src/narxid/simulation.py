@@ -113,9 +113,13 @@ class StabilityVerdict:
 
     ``mean0``/``var0`` describe the post-settle response to an all-zero
     input, ``mean1``/``var1`` the response to an all-ones input.
-    ``bias_mean_ok`` records whether the zero-input mean matched the model
-    bias within ``sqrt(epsilon)``; a bounded response with an unexpected
-    fixed point is still reported stable.
+    ``bias_mean_ok`` records whether the zero-input mean came within
+    ``sqrt(epsilon)`` of the model bias.  That mean is the zero-input
+    equilibrium, which is the bias only for a model without output terms (a
+    linear model settles at ``bias / (1 - sum of its output coefficients)``),
+    so a model with output terms and a bias mostly reads False however well
+    it fits.  It does not enter ``stable``: a bounded response with an
+    unexpected fixed point is still reported stable.
     """
 
     stable: bool

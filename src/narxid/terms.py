@@ -97,11 +97,6 @@ class Term:
     def max_lag(self) -> int:
         return max(self.max_output_lag, self.max_input_lag)
 
-    def reads(self, y, u) -> list[tuple]:
-        """``(samples, lag, exponent)`` per factor, ``samples`` being ``y`` or
-        ``u`` by the factor's signal; the regression columns read through it."""
-        return [(y if f.signal is Signal.OUTPUT else u, f.lag, f.exponent) for f in self.factors]
-
     def sort_key(self) -> tuple:
         """Dictionary ordering: degree, then the expanded variable sequence.
 
@@ -202,9 +197,6 @@ class Dictionary:
 
     def __getitem__(self, i: int) -> Term:
         return self.terms[i]
-
-    def __contains__(self, term: Term) -> bool:
-        return term in self._index
 
     def index(self, term: Term) -> int:
         try:

@@ -253,6 +253,25 @@ class TestOfrSelect:
         with pytest.raises(ValueError, match="out of range"):
             ofr_select(problem, criterion, forced_first=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_zero_target_raises(self, criterion):
+        # built directly, the problem skips build_problem's energy check
+        phi = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(DataError, match="target is zero"):
+            ofr_select(fake_problem(phi, np.zeros(20)), criterion)
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_rank_deficient_forced_first_stops_before_any_step(self, criterion):
+        rng = np.random.default_rng(6)
+        phi = rng.normal(size=(30, 3))
+        phi[:, 1] = 0.0
+        problem = fake_problem(phi, rng.normal(size=30))
+        path = ofr_select(problem, criterion, forced_first=1)
+        assert path.steps == ()
+        assert path.stop_reason == "forced first term is rank-deficient"
+        assert path.n_evaluated == 0
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_terms": 0}, "max_terms"),
         ({"forced_first": 3}, "out of range"),

@@ -9,6 +9,7 @@ import narxid.pipeline
 import narxid.search
 from narxid import (
     ConfigError,
+    Criterion,
     IdentificationError,
     IoData,
     LagSpec,
@@ -192,6 +193,32 @@ class TestIdentify:
             "of 15 candidates, 3 diverged under the probe, 12 had probe variance "
             "above epsilon and 0 diverged on the training run",
         )
+
+    def test_rejection_note_counts_candidates_without_a_bic(self):
+        # an ERR path without the leverage guard takes a term per fitted row:
+        # it runs the training record, but n <= k leaves its BIC undefined
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=12)
+        y = dc_motor_reference(u) + rng.normal(0, 0.05, 12)
+        cfg = SearchConfig(criterion=Criterion.ERR, max_terms=100)
+        with pytest.warns(UserWarning, match="usable rows"):
+            report = identify(IoData(u, y), LagSpec(2, 2, 2, False), cfg=cfg)
+        assert report.chosen == "ARX"
+        assert report.narx is None
+        assert report.notes == (
+            "nonlinear stage found no stable candidate, so the linear model is kept: "
+            "of 14 candidates, 12 diverged under the probe, 1 had probe variance "
+            "above epsilon, 0 diverged on the training run and 1 had as many "
+            "terms as fitted rows (BIC undefined)",
+        )
+        d = expand_dictionary(build_linear_dictionary(LagSpec(2, 2, 1, False)), 2)
+        with pytest.warns(UserWarning, match="usable rows"):
+            with pytest.raises(IdentificationError) as info:
+                iterative_ofr(d, None, IoData(u, y), cfg)
+        [entry] = [e for e in info.value.pool if e.verdict.stable]
+        assert entry.model.n_terms == len(y) - 2
+        assert entry.msse < 1e-20
+        assert entry.bic == np.inf
 
     def test_chosen_flag_consistent_with_bic(self):
         for method in (ReductionMethod.NONE, ReductionMethod.M2):

@@ -221,6 +221,24 @@ class TestExactFitPruning:
             == second.best.model.provenance["stop_reason"]
         )
 
+    def test_one_term_winner_is_kept(self):
+        # y(t) = u(t-1): an ERR path seeded by u(t-1) fits exactly in one
+        # step, and pruning cannot drop the only term it has
+        u = np.random.default_rng(1).normal(size=100)
+        y = np.concatenate(([0.0], u[:-1]))
+        d = build_linear_dictionary(LagSpec(2, 2, 1, False))
+        data = IoData(u, y)
+        result = iterative_ofr(d, None, data, SearchConfig(criterion=Criterion.ERR))
+        assert result.model.terms == (parse_term("u(t-1)"),)
+        assert not pruned(result.best)
+        assert not any(pruned(e) for e in result.pool)
+        problem = build_problem(data, d)
+        floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+        seed = d.index(parse_term("u(t-1)"))
+        for criterion in Criterion:
+            path = ofr_select(problem, criterion, forced_first=seed, max_terms=1)
+            assert _exact_fit_prune(problem, path, criterion, floor) is None
+
     def test_noisy_record_never_pruned(self):
         data = benchmark_data(train=120)
         rng = np.random.default_rng(7)
@@ -241,7 +259,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
     msse_floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
     seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
     seen_sets = set()
-    pool = ModelPool()
+    pool = []
     incumbent = incumbent_key = None
     n_evaluations = 0
     iteration_bics = []
@@ -273,7 +291,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
             )
             if entry is None:
                 continue
-            pool.entries.append(entry)
+            pool.append(entry)
             if not entry.selectable:
                 continue
             key = (entry.bic, entry.model.n_terms, order)
@@ -294,7 +312,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
                     problem, cfg, msse_floor, data_hash,
                 )
                 if entry is not None:
-                    pool.entries.append(entry)
+                    pool.append(entry)
                     if entry.selectable and entry.bic <= iteration_best.bic:
                         iteration_best = entry
                         iteration_best_key = (
@@ -315,10 +333,12 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
         )
 
     if incumbent is None:
-        raise IdentificationError("no stable candidate model in any iteration", pool=pool)
+        raise IdentificationError(
+            "no stable candidate model in any iteration", pool=ModelPool(pool)
+        )
     return SearchResult(
-        dictionary, pool, incumbent, iterations, n_evaluations, converged,
-        tuple(iteration_bics),
+        dictionary, ModelPool(pool), incumbent, iterations, n_evaluations,
+        converged, tuple(iteration_bics),
     )
 
 
