@@ -42,6 +42,7 @@ __all__ = [
     "press_of",
     "back_substitute",
     "default_max_terms",
+    "noise_floor",
 ]
 
 # Reject a candidate whenever any 1 - leverage falls below this: the deleted
@@ -50,6 +51,10 @@ LEVERAGE_GUARD = 1e-8
 
 # An ERR path stops once its cumulative ERR reaches this.
 ERR_TOTAL = 1.0 - 1e-6
+
+# Mean squares below this fraction of the target's mean square are
+# floating-point noise: see noise_floor.
+MSSE_FLOOR_REL = 1e-24
 
 # One re-orthogonalization pass when the orthogonalized norm has dropped by
 # more than this factor relative to the source column.
@@ -92,6 +97,16 @@ class SelectionPath:
 def default_max_terms(n_terms: int, n_rows: int) -> int:
     """Identifiability guard: at most a quarter of the rows, capped at 30."""
     return max(1, min(n_terms, n_rows // 4, 30))
+
+
+def noise_floor(target: np.ndarray) -> float:
+    """The mean square at or below which an error on ``target`` is
+    numerically zero: ``MSSE_FLOOR_REL`` times the target's mean square.
+
+    A PRESS path stops there, and the search clamps free-run errors to it
+    and prunes exact fits against it, so all three read the same bits.
+    """
+    return MSSE_FLOOR_REL * float(np.mean(target**2))
 
 
 def err_of(w: np.ndarray, target: np.ndarray) -> float:
@@ -172,9 +187,11 @@ def ofr_select(
     ``RANK_TOL`` times the original are dropped as dependent; PRESS
     candidates whose leverage trips the guard are rejected for that step.
     Ties break toward the lowest dictionary index.  With ``stop`` set, an
-    ERR path ends once its cumulative ERR reaches ``ERR_TOTAL`` and a PRESS
-    path at the first PRESS increase; running out of candidates, the
-    leverage guard and the ``max_terms`` cap end a path either way.  The
+    ERR path ends once its cumulative ERR reaches ``ERR_TOTAL``, and a PRESS
+    path at the first PRESS increase (``"PRESS increase"``) or right after
+    the step whose PRESS reaches :func:`noise_floor` (``"PRESS floor"``:
+    every later score would be rounding noise); running out of candidates,
+    the leverage guard and the ``max_terms`` cap end a path either way.  The
     reason is recorded.  A zero target raises :class:`DataError`: every
     ERR divides by its energy.
     """
@@ -264,6 +281,7 @@ def _press_path(
     n_rows, n_cols = work.shape
     # n x M floats for one step's PRESS numerators, then for its update
     scratch = np.empty(n_rows * n_cols)
+    floor = noise_floor(problem.target)
     n_evaluated = 0
     stop_reason = "max_terms"
 
@@ -315,6 +333,9 @@ def _press_path(
         k = len(path.steps)
         w = work[:, best].copy()
         ws = path.take(best, w)
+        if stop and path.steps[-1].ms_press <= floor:
+            stop_reason = "PRESS floor"
+            break
 
         rem = np.where(path.available)[0]
         if rem.size:

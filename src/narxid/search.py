@@ -9,19 +9,22 @@ as iterations proceed.  Iterations end when the winning term set repeats or
 the iteration cap is reached.
 
 Model scoring is deterministic: BIC ties break toward fewer terms, then
-toward the earlier seed position.  Free-run errors below a numerical floor
-(relative to the output scale) are clamped before ranking so that parsimony,
-not floating-point noise, decides between models that are all numerically
-exact.  A path can still end numerically exact while carrying a term that
-helped when it was selected and that later terms made redundant; when an
-iteration's winner fits to within that floor, such terms are pruned and the
+toward the earlier seed position.  Free-run errors below the numerical
+floor (:func:`narxid.ofr.noise_floor`, relative to the output scale) are
+clamped before ranking so that parsimony, not floating-point noise, decides
+between models that are all numerically exact.  It is the floor at which
+``ofr_select`` ends a PRESS path (stop reason ``"PRESS floor"``), so a path
+stops at its first exact fit; it can still end there carrying a term that
+helped when it was selected and that later terms made redundant.  When an
+iteration's winner fits to within the floor, such terms are pruned and the
 reduced model competes as one more candidate.
 
 A path is a pure function of the problem and its forced first term, and so
-are its model, probe verdict and score; a pruned path is a function of the
-winner path it came from.  Each is therefore computed, probed and pooled
-once per search: a later iteration that seeds a term again only re-ranks
-the candidate it already has (Guo, Guo, Billings & Wei, "An iterative
+are its model, probe verdict and score.  Each is therefore computed, probed
+and pooled once per search: a later iteration that seeds a term again only
+re-ranks the candidate it already has.  A pruned candidate is keyed by the
+terms it keeps, so winners that prune to the same set share the one
+selected from the first of them (Guo, Guo, Billings & Wei, "An iterative
 orthogonal forward regression algorithm", Int. J. Systems Science 2015).
 """
 
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, IdentificationError, SingularityError
-from .ofr import Criterion, SelectionPath, back_substitute, ofr_select
+from .ofr import Criterion, SelectionPath, back_substitute, noise_floor, ofr_select
 from .regression import IoData, RegressionProblem, build_problem, least_squares
 from .simulation import PROBE_EPSILON, Model, StabilityVerdict, simulate_free_run, stability_probe
 from .terms import Dictionary, Term
@@ -51,11 +54,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Free-run MSSE values below this fraction of the target's mean square are
-# indistinguishable from floating-point noise; clamp before BIC ranking.
-MSSE_FLOOR_REL = 1e-24
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -213,23 +211,17 @@ def _score_entry(
     return PoolEntry(model, seed_term, verdict, msse, bic, path)
 
 
-def _exact_fit_prune(
-    problem: RegressionProblem,
-    path: SelectionPath,
-    criterion: Criterion,
-    msse_floor: float,
-) -> SelectionPath | None:
-    """The path's terms without those a numerically exact fit does not need.
+def _exact_fit_columns(
+    problem: RegressionProblem, path: SelectionPath, msse_floor: float
+) -> tuple[int, ...] | None:
+    """The path's terms that a numerically exact fit needs, as sorted
+    dictionary indices.
 
     Terms are tried for removal from the last selected back to the first;
     one goes when the least-squares one-step mean-square residual of the
-    rest stays at or below ``msse_floor``.  The remaining terms are selected
-    again by an ordinary :func:`ofr_select` run (same first term, stopping
-    rules off), so the path's PRESS, ERR and coefficients stay consistent.
-    Returns None when no term can go.
+    rest stays at or below ``msse_floor``.  Returns None when no term can go.
     """
     keep = list(path.term_indices)
-    dropped = []
     for index in reversed(path.term_indices):
         rest = [i for i in keep if i != index]
         if not rest:
@@ -241,14 +233,24 @@ def _exact_fit_prune(
         resid = problem.target - problem.phi[:, rest] @ theta
         if float(np.mean(resid**2)) <= msse_floor:
             keep = rest
-            dropped.append(index)
-    if not dropped:
-        return None
+    return None if len(keep) == len(path.steps) else tuple(sorted(keep))
 
-    columns = sorted(keep)
+
+def _exact_fit_prune(
+    problem: RegressionProblem,
+    path: SelectionPath,
+    columns: tuple[int, ...],
+    criterion: Criterion,
+) -> SelectionPath:
+    """The path cut to ``columns`` (from :func:`_exact_fit_columns`).
+
+    Those terms are selected again by an ordinary :func:`ofr_select` run
+    (the path's first term first when it is kept, stopping rules off), so
+    the path's PRESS, ERR and coefficients stay consistent.
+    """
     # rows stay aligned with the parent problem, so its offset is kept
     sub = RegressionProblem(
-        problem.phi[:, columns],
+        problem.phi[:, list(columns)],
         problem.target,
         Dictionary(tuple(problem.dictionary[i] for i in columns)),
         problem.offset,
@@ -261,7 +263,8 @@ def _exact_fit_prune(
         max_terms=len(columns),
         stop=False,
     )
-    names = ", ".join(str(problem.dictionary[i]) for i in sorted(dropped))
+    dropped = sorted(set(path.term_indices) - set(columns))
+    names = ", ".join(str(problem.dictionary[i]) for i in dropped)
     return replace(
         sub_path,
         steps=tuple(
@@ -291,7 +294,7 @@ def iterative_ofr(
     """
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
-    msse_floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+    msse_floor = noise_floor(problem.target)
     try:
         # dictionary indices of the seed terms, in first-seen order
         seeds = (
@@ -301,8 +304,8 @@ def iterative_ofr(
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
     # The candidate table: forced-first index -> its entry (None: empty
-    # path), winner path -> its pruned entry (None: nothing to prune).  Its
-    # entries, in the order they were computed, are the pool.
+    # path), the sorted columns a pruned winner keeps -> its pruned entry.
+    # Its entries, in the order they were computed, are the pool.
     table: dict[int | tuple[int, ...], PoolEntry | None] = {}
     winners: list[PoolEntry] = []
     converged = False
@@ -328,18 +331,17 @@ def iterative_ofr(
         winner = min(ranked, key=_rank)
 
         if winner.msse <= msse_floor:
-            key = winner.path.term_indices
-            if key not in table:
-                pruned = _exact_fit_prune(
-                    problem, winner.path, cfg.criterion, msse_floor
-                )
-                table[key] = None if pruned is None else _score_entry(
-                    pruned, winner.seed_term, data, problem, cfg, msse_floor,
-                    data_hash,
-                )
-            entry = table[key]
-            if entry is not None and entry.selectable and entry.bic <= winner.bic:
-                winner = entry
+            columns = _exact_fit_columns(problem, winner.path, msse_floor)
+            if columns is not None:
+                if columns not in table:
+                    pruned = _exact_fit_prune(problem, winner.path, columns, cfg.criterion)
+                    table[columns] = _score_entry(
+                        pruned, winner.seed_term, data, problem, cfg, msse_floor,
+                        data_hash,
+                    )
+                entry = table[columns]
+                if entry is not None and entry.selectable and entry.bic <= winner.bic:
+                    winner = entry
 
         term_set = set(winner.path.term_indices)
         converged = any(set(w.path.term_indices) == term_set for w in winners)

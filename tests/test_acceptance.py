@@ -41,7 +41,8 @@ from narxid import (
     stability_probe,
 )
 from narxid.dataio import render_report
-from narxid.search import MSSE_FLOOR_REL, ModelPool
+from narxid.ofr import noise_floor
+from narxid.search import ModelPool
 
 BENCHMARK_SEED = 332
 TRUE_TERMS, TRUE_COEFFICIENTS = dc_motor_terms()
@@ -254,7 +255,7 @@ def test_criterion_5_exhaustive_path_oracle():
             # independent oracle: enumerate every single-path run and score
             # it the same way (stability screen, clamped free-run BIC)
             problem = build_problem(data, d)
-            floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+            floor = noise_floor(problem.target)
             best_oracle = np.inf
             for first in range(len(d)):
                 path = ofr_select(problem, Criterion.ERR, forced_first=first)

@@ -32,6 +32,7 @@ from narxid.ofr import (
     PathStep,
     SelectionPath,
     default_max_terms,
+    noise_floor,
 )
 from narxid.regression import RANK_TOL, IoData, RegressionProblem, build_problem
 from narxid.terms import (
@@ -217,18 +218,50 @@ class TestOfrSelect:
         assert len(path.steps) == 1
         assert "rank" in path.stop_reason
 
-    def test_press_stops_at_first_increase(self):
-        # noise-free linear relation: PRESS collapses after 2 true terms and
-        # the third step cannot improve it
+    @staticmethod
+    def two_term_record(noise_std):
+        # a linear relation in columns 0 and 1, column 2 unrelated
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         x2 = rng.normal(size=60)
         noise_col = rng.normal(size=60)
-        target = 1.5 * x1 - 2.0 * x2
-        phi = np.column_stack([x1, x2, noise_col])
-        path = ofr_select(fake_problem(phi, target), Criterion.PRESS)
+        target = 1.5 * x1 - 2.0 * x2 + noise_std * rng.normal(size=60)
+        return fake_problem(np.column_stack([x1, x2, noise_col]), target)
+
+    def test_press_stops_at_the_noise_floor(self):
+        # noise-free: PRESS collapses to rounding noise after the 2 true
+        # terms, and the path ends there without scoring column 2 again
+        problem = self.two_term_record(0.0)
+        path = ofr_select(problem, Criterion.PRESS)
         assert set(path.term_indices) == {0, 1}
-        assert path.stop_reason in ("PRESS increase", "max_terms")
+        assert path.stop_reason == "PRESS floor"
+        assert path.steps[-1].ms_press <= noise_floor(problem.target)
+        assert path.n_evaluated == 3 + 2
+
+    def test_press_stops_at_first_increase(self):
+        # with noise the fit never reaches the floor, and adding the
+        # unrelated column raises PRESS
+        path = ofr_select(self.two_term_record(0.1), Criterion.PRESS)
+        assert set(path.term_indices) == {0, 1}
+        assert path.stop_reason == "PRESS increase"
+
+    def test_noisy_paths_never_stop_at_the_floor(self):
+        # a linear ARX system with output noise of std 0.1: no path's
+        # residual falls to rounding noise, stopped or not
+        rng = np.random.default_rng(90_001)
+        u = rng.normal(size=300)
+        y = np.zeros(300)
+        for t in range(2, 300):
+            y[t] = 1.2 * y[t - 1] - 0.5 * y[t - 2] + u[t - 1] + 0.3 * u[t - 2]
+        y += 0.1 * rng.normal(size=300)
+        d = expand_dictionary(build_linear_dictionary(LagSpec(3, 3)), 2)
+        problem = build_problem(IoData(u, y), d)
+        floor = noise_floor(problem.target)
+        for first in (None, *range(len(d))):
+            for stop in (True, False):
+                path = ofr_select(problem, Criterion.PRESS, forced_first=first, stop=stop)
+                assert path.stop_reason != "PRESS floor"
+                assert min(s.ms_press for s in path.steps) > floor
 
     def test_determinism_including_ties(self):
         rng = np.random.default_rng(17)
@@ -411,6 +444,7 @@ def reference_ofr_select(
     work = phi.astype(float, copy=True)  # candidates, orthogonalized in place
     orig_ss = np.einsum("ij,ij->j", phi, phi)
     yy = float(target @ target)
+    floor = noise_floor(target)
 
     selected: list[int] = []
     w_cols: list[np.ndarray] = []
@@ -491,6 +525,9 @@ def reference_ofr_select(
         w_ss.append(ws)
         steps.append(PathStep(best, err, ms_press, g))
         available[best] = False
+        if stop and criterion is Criterion.PRESS and ms_press <= floor:
+            stop_reason = "PRESS floor"
+            break
 
         rem = np.where(available)[0]
         if rem.size:
@@ -611,6 +648,8 @@ class TestOfrMatchesReference:
         for first in range(problem.phi.shape[1]):
             reasons.add(assert_matches_reference(problem, criterion, forced_first=first).stop_reason)
         assert reasons - {"max_terms"}  # paths stop on the criterion too
+        if criterion is Criterion.PRESS:
+            assert reasons == {"PRESS floor"}  # every path fits exactly
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_every_forced_first_past_the_exact_fit(self, criterion):

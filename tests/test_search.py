@@ -1,7 +1,11 @@
 """Iterative multi-path search: stability screening, BIC choice, convergence."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import narxid.search
@@ -15,6 +19,7 @@ from narxid import (
     Prbs,
     SearchConfig,
     SearchResult,
+    WhiteNoise,
     back_substitute,
     bic_of,
     build_linear_dictionary,
@@ -30,9 +35,10 @@ from narxid import (
     simulate_free_run,
     stability_probe,
 )
-from narxid.errors import ConfigError
+from narxid.errors import ConfigError, DivergenceError
+from narxid.ofr import noise_floor
 from narxid.search import (
-    MSSE_FLOOR_REL,
+    _exact_fit_columns,
     _exact_fit_prune,
     _score_entry,
     data_fingerprint,
@@ -172,6 +178,33 @@ class TestIterativeOfr:
         assert result.best.msse == pytest.approx(expected, rel=1e-12)
 
 
+def chosen_terms(dictionary, data):
+    """The chosen term set, or None when the search finds no stable model."""
+    try:
+        return set(iterative_ofr(dictionary, None, data).model.terms)
+    except IdentificationError:
+        return None
+
+
+class TestDictionaryPermutation:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(seed=st.integers(1, 10_000), order=st.permutations(range(14)))
+    def test_permuting_the_dictionary_keeps_the_chosen_terms(self, seed, order):
+        # a search ranks seeds by position and breaks ties toward the lower
+        # index, and its sums round by where a column sits; on a noisy DC
+        # motor record no two candidates tie, so the order of the
+        # dictionary must not change the outcome
+        u = generate_signal(WhiteNoise(length=200, seed=seed))
+        try:
+            y = dc_motor_reference(u)
+        except DivergenceError:
+            assume(False)
+        noisy = IoData(u, y + 0.05 * np.random.default_rng(seed).normal(size=200))
+        d = full_dictionary()
+        permuted = type(d)(tuple(d[i] for i in order))
+        assert chosen_terms(permuted, noisy) == chosen_terms(d, noisy)
+
+
 @pytest.fixture(scope="module")
 def multitone_search():
     # noise-free record on which the winning path ends numerically exact
@@ -233,18 +266,42 @@ class TestExactFitPruning:
         assert not pruned(result.best)
         assert not any(pruned(e) for e in result.pool)
         problem = build_problem(data, d)
-        floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+        floor = noise_floor(problem.target)
         seed = d.index(parse_term("u(t-1)"))
         for criterion in Criterion:
             path = ofr_select(problem, criterion, forced_first=seed, max_terms=1)
-            assert _exact_fit_prune(problem, path, criterion, floor) is None
+            assert _exact_fit_columns(problem, path, floor) is None
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_winners_pruning_to_one_set_share_its_entry(self, stop, monkeypatch):
+        # y(t) = u(t-1): paths that run past the exact fit (stop unset)
+        # give two iterations winners that both prune to u(t-1), which is
+        # selected again and pooled once; stopped at the floor, the path
+        # forced by u(t-1) ends after it and nothing is pruned
+        select = functools.partial(ofr_select, stop=stop)
+        prunes = []
+
+        def counting_prune(*args):
+            prunes.append(args[2])
+            return _exact_fit_prune(*args)
+
+        monkeypatch.setattr(narxid.search, "ofr_select", select)
+        monkeypatch.setattr(narxid.search, "_exact_fit_prune", counting_prune)
+        u = np.random.default_rng(1).normal(size=100)
+        y = np.concatenate(([0.0], u[:-1]))
+        d = build_linear_dictionary(LagSpec(2, 2, 1, False))
+        result = iterative_ofr(d, None, IoData(u, y), SearchConfig())
+        one_term = (parse_term("u(t-1)"),)
+        assert result.model.terms == one_term
+        assert [e.model.terms for e in result.pool].count(one_term) == 1
+        assert len(prunes) == len(set(prunes)) == (0 if stop else 1)
 
     def test_noisy_record_never_pruned(self):
         data = benchmark_data(train=120)
         rng = np.random.default_rng(7)
         noisy = IoData(data.u, data.y + 0.01 * rng.normal(size=len(data.y)))
         result = iterative_ofr(full_dictionary(), None, noisy, SearchConfig())
-        floor = MSSE_FLOOR_REL * np.mean(noisy.y[2:] ** 2)
+        floor = noise_floor(noisy.y[2:])
         assert result.best.msse > floor
         assert not any(pruned(e) for e in result.pool)
 
@@ -256,7 +313,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
     """
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
-    msse_floor = MSSE_FLOOR_REL * float(np.mean(problem.target**2))
+    msse_floor = noise_floor(problem.target)
     seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
     seen_sets = set()
     pool = []
@@ -302,10 +359,11 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
             break
 
         if iteration_best.msse <= msse_floor:
-            pruned = _exact_fit_prune(
-                problem, iteration_best.path, cfg.criterion, msse_floor
-            )
-            if pruned is not None:
+            columns = _exact_fit_columns(problem, iteration_best.path, msse_floor)
+            if columns is not None:
+                pruned = _exact_fit_prune(
+                    problem, iteration_best.path, columns, cfg.criterion
+                )
                 n_evaluations += pruned.n_evaluated
                 entry = _score_entry(
                     pruned, iteration_best.seed_term, data,

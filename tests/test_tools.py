@@ -35,12 +35,21 @@ ARX = stage(["y(t-1)", "u(t-1)"], [0.5, 1.0], bias="0.25")
 NARX = stage(["y(t-1)", "u(t-1)", "y(t-1)*u(t-1)"], [0.5, 1.0, -0.125], n_evaluations=1000)
 
 
-def write_run(root, narx, arx=ARX, chosen="NARX"):
-    """One identify operation's directory, as the tool's first form writes it."""
+def write_run(root, narx, arx=ARX, chosen="NARX", stop_reason=None):
+    """One identify operation's directory, as the tool's first form writes
+    it; with ``stop_reason``, also the chosen model's ``model.json``."""
     op = root / "reduced-err" / "case-c-err-m2"
     op.mkdir(parents=True)
     doc = {"schema": "narxid-report/1", "chosen": chosen, "arx": arx, "narx": narx}
     (op / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if stop_reason is not None:
+        stage = doc[chosen.lower()]
+        model = {
+            "schema": "narxid-model/1", "terms": stage["terms"],
+            "coefficients": stage["coefficients"], "bias": stage["bias"],
+            "provenance": {"criterion": "press", "stop_reason": stop_reason},
+        }
+        (op / "model.json").write_text(json.dumps(model, indent=2) + "\n")
     (op / "simulation.csv").write_text("t,y\r\n1,0.5\r\n")
     (root / "reduced-err" / "inputs").mkdir()
     # .cfg inputs name their own paths and are never compared
@@ -104,6 +113,49 @@ def test_stage_present_on_one_side(tmp_path, capsys):
     assert code == 0
     assert any(" narx " in line and "stage only in A" in line for line in lines)
     assert any("chosen NARX -> ARX" in line for line in lines)
+
+
+def semantic_rows(lines):
+    rows = [line.split("  ") for line in lines[1:-1]]
+    return [[cell.strip() for cell in row if cell.strip()] for row in rows]
+
+
+@pytest.mark.parametrize("chosen", ["ARX", "NARX"])
+def test_changed_stop_reason_only(tmp_path, capsys, chosen):
+    # the reports are identical; only the chosen model's provenance moves
+    write_run(tmp_path / "a", NARX, chosen=chosen, stop_reason="PRESS increase")
+    write_run(tmp_path / "b", NARX, chosen=chosen, stop_reason="PRESS floor")
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1 and "differs: reduced-err/case-c-err-m2/model.json" in lines
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    op = "reduced-err/case-c-err-m2"
+    same = ["same terms, same order", "0.0e+00", "-"]
+    stop = [op, chosen.lower(), "stop reason PRESS increase -> PRESS floor", "-", "-"]
+    expected = [[op, "arx", *same], [op, "narx", *same]]
+    expected.insert(1 if chosen == "ARX" else 2, stop)
+    assert semantic_rows(lines) == expected
+    assert lines[-1] == "1 reports compared, 1 differ"
+
+
+def test_stop_reason_with_changed_counts(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX, stop_reason="exact-fit pruning (dropped u(t-2), y(t-2))")
+    fewer = stage(NARX["terms"], [0.5, 1.0, -0.125], n_evaluations=640, pool_size=8)
+    write_run(tmp_path / "b", fewer, stop_reason="PRESS floor")
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    op = "reduced-err/case-c-err-m2"
+    assert semantic_rows(lines)[1:] == [
+        [op, "narx", "same terms, same order", "0.0e+00", "n_evaluations 1000 -> 640, pool_size 9 -> 8"],
+        [op, "narx", "stop reason exact-fit pruning (dropped u(t-2), y(t-2)) -> PRESS floor", "-", "-"],
+    ]
+
+
+def test_unchanged_stop_reason_adds_no_row(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX, stop_reason="PRESS floor")
+    write_run(tmp_path / "b", stage(NARX["terms"], [0.5, 1.0, -0.125]), stop_reason="PRESS floor")
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert not any("stop reason" in line for line in lines)
+    assert semantic_rows(lines)[1][-1] == "n_evaluations 1000 -> 324"
 
 
 @pytest.mark.parametrize("a, b, expected", [

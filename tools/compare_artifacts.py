@@ -18,13 +18,16 @@ The second form lists the files that differ between two such directories,
 or exist in only one, and exits 1 if any do.  The ``.cfg`` inputs are not
 compared, because they name the paths of their own records.
 
-The third form reads every ``report.json`` that differs between the two
-directories and prints one row per identification stage: whether B keeps
-A's terms in the same order, keeps them in another order, or changes the
-set (naming the terms added and dropped), the largest relative change of
-a coefficient (the bias included) of a term both keep, and the counts
-(``n_evaluations``, ``pool_size``, ``pool_unstable``) that changed.  It
-reports and does not judge: it exits 0 whatever it finds.
+The third form reads every operation whose ``report.json`` or
+``model.json`` differs between the two directories and prints one row per
+identification stage: whether B keeps A's terms in the same order, keeps
+them in another order, or changes the set (naming the terms added and
+dropped), the largest relative change of a coefficient (the bias included)
+of a term both keep, and the counts (``n_evaluations``, ``pool_size``,
+``pool_unstable``) that changed.  A row under the chosen stage names a
+changed path stop reason, read from ``model.json``'s provenance (the only
+model saved).  It reports and does not judge: it exits 0 whatever it
+finds.
 
 A change that must keep the program's output runs the first form on a
 checkout of the parent commit and on the change, at the same seed, and
@@ -155,6 +158,16 @@ def compare_stage(a: dict | None, b: dict | None) -> tuple[str, str, str]:
     return verdict, f"{change:.1e}", counts
 
 
+def _bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def _stop_reason(op_dir: Path) -> str | None:
+    """The chosen model's path stop reason, from ``model.json``'s provenance."""
+    model = _bytes(op_dir / "model.json")
+    return None if model is None else (json.loads(model).get("provenance") or {}).get("stop_reason")
+
+
 def semantic_diff(a: Path, b: Path) -> int:
     """Print what changed in each identification that differs; always 0."""
     reports_a = {p.relative_to(a).parent for p in a.rglob("report.json")}
@@ -167,12 +180,15 @@ def semantic_diff(a: Path, b: Path) -> int:
             rows.append((str(op), "-", f"report only in {'A' if op in reports_a else 'B'}", "-", "-"))
             continue
         text_a, text_b = (a / op / "report.json").read_text(), (b / op / "report.json").read_text()
-        if text_a == text_b:
+        if text_a == text_b and _bytes(a / op / "model.json") == _bytes(b / op / "model.json"):
             continue
         differ += 1
         doc_a, doc_b = json.loads(text_a), json.loads(text_b)
+        stop_a, stop_b = _stop_reason(a / op), _stop_reason(b / op)
         for stage in STAGES:
             rows.append((str(op), stage, *compare_stage(doc_a[stage], doc_b[stage])))
+            if stage == doc_a["chosen"].lower() == doc_b["chosen"].lower() and stop_a != stop_b:
+                rows.append((str(op), stage, f"stop reason {stop_a} -> {stop_b}", "-", "-"))
         if doc_a["chosen"] != doc_b["chosen"]:
             rows.append((str(op), "-", f"chosen {doc_a['chosen']} -> {doc_b['chosen']}", "-", "-"))
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
