@@ -6,6 +6,7 @@ squared deleted residuals.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from narxid.ofr import (
     _REORTH_RATIO,
     ERR_TOTAL,
     LEVERAGE_GUARD,
+    _BOUND_MIN_BLOCK,
+    _bound_threshold,
     PathStep,
     SelectionPath,
     default_max_terms,
@@ -617,12 +620,21 @@ def assert_err_path_close(problem, ours, ref):
         assert (ours.stop_reason, ours.n_evaluated) == (ref.stop_reason, ref.n_evaluated)
 
 
+def bounded_ofr_select(problem, criterion, **kwargs):
+    """``ofr_select`` with the residual bound on every PRESS step, whatever
+    the block size (the cases here are below the kernel's gate)."""
+    with mock.patch("narxid.ofr._BOUND_MIN_BLOCK", 0):
+        return ofr_select(problem, criterion, **kwargs)
+
+
 def assert_matches_reference(problem, criterion, **kwargs):
-    """PRESS paths bit for bit, ERR paths by :func:`assert_err_path_close`."""
+    """PRESS paths bit for bit, with and without the residual bound; ERR
+    paths by :func:`assert_err_path_close`."""
     ours = ofr_select(problem, criterion, **kwargs)
     ref = reference_ofr_select(problem, criterion, **kwargs)
     if criterion is Criterion.PRESS:
         assert path_bits(ours) == path_bits(ref)
+        assert path_bits(bounded_ofr_select(problem, criterion, **kwargs)) == path_bits(ref)
     else:
         assert_err_path_close(problem, ours, ref)
     return ours
@@ -637,9 +649,11 @@ def noise_free_cubic_problem():
 
 
 class TestOfrMatchesReference:
-    """PRESS: ``ofr_select`` updates the candidates at full width, and every
-    recorded bit equals the fancy-indexed write-back kernel's.  ERR: the
-    downdated-norm kernel agrees with it up to the exact fit."""
+    """PRESS: ``ofr_select`` updates the candidates at full width and scores
+    only the candidates its residual bound cannot rule out, and every
+    recorded bit equals the fancy-indexed write-back kernel's, which scores
+    all of them.  ERR: the downdated-norm kernel agrees with it up to the
+    exact fit."""
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_every_forced_first_on_noise_free_cubic(self, criterion):
@@ -711,6 +725,8 @@ class TestOfrMatchesReference:
         path = assert_matches_reference(
             fake_problem(phi, target), Criterion.PRESS, max_terms=8, stop=False,
         )
+        # bounded, this stop is reached only when the lowest-bound candidate
+        # is rejected and every column is then scored
         assert path.stop_reason == "all candidates leverage-rejected"
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
@@ -744,6 +760,76 @@ class TestOfrMatchesReference:
         )
         assert path.stop_reason == "max_terms"
         assert len(path.steps) == default_max_terms(24, 70)
+
+    def test_bound_slack_past_the_cancellation(self):
+        # case C at white-noise seed 5, forced first term 107: at the 30th
+        # step the best fits are exact, so rr - (r.w)^2 / (w.w) cancels to
+        # rounding noise.  A threshold without the slack's absolute term
+        # ruled out column 23 (ms PRESS 3.2e-31) there and took 20 (7.2e-31).
+        u = generate_signal(WhiteNoise(length=500, seed=5))
+        d = expand_dictionary(build_linear_dictionary(LagSpec(4, 4)), 3, include_constant=True)
+        problem = build_problem(IoData(u, dc_motor_reference(u)), d)
+        n_rows, n_cols = problem.phi.shape
+        assert n_rows * (n_cols - 30) >= _BOUND_MIN_BLOCK  # every step is bounded
+        path = assert_matches_reference(problem, Criterion.PRESS, forced_first=107)
+        assert len(path.steps) == 30 and path.term_indices[-1] == 23
+
+
+def gram_schmidt(w, columns):
+    """``w`` orthogonalized against the mutually orthogonal ``columns``."""
+    w = w.copy()
+    for q in columns:
+        w -= (float(q @ w) / float(q @ q)) * q
+    return w
+
+
+class TestResidualBound:
+    """Every ``1 - h(t)`` is at most 1, so n times a candidate's PRESS is at
+    least its residual sum of squares, ``rr - (r.w)^2 / (w.w)``: the bound
+    the PRESS kernel rules candidates out by, checked against ``press_of``
+    through the kernel's threshold, slack included."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(4, 60),
+        n_cols=st.integers(2, 10),
+        exact=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        data=st.data(),
+    )
+    def test_n_press_is_at_least_the_residual_bound(self, seed, n_rows, n_cols, exact, scale, data):
+        rng = np.random.default_rng(seed)
+        phi = scale * rng.normal(size=(n_rows, n_cols))
+        # a path state: a random ordered subset of the columns, selected;
+        # the next candidate in the order completes an exact fit, where the
+        # bound cancels to rounding noise
+        order = rng.permutation(n_cols)
+        k = data.draw(st.integers(0, n_cols - 1), label="selected")
+        target = phi[:, order[: k + 1]] @ rng.normal(size=k + 1)
+        if not exact:
+            target += 0.1 * scale * rng.normal(size=n_rows)
+        selected = []
+        for c in order[:k]:
+            w = gram_schmidt(phi[:, c], selected)
+            if w @ w > RANK_TOL * (phi[:, c] @ phi[:, c]):
+                selected.append(w)
+        resid = target.copy()
+        for q in selected:  # press_of's own residual, step by step
+            resid = resid - (float(resid @ q) / float(q @ q)) * q
+        rr = float(resid @ resid)
+        for c in order[k:]:
+            w = gram_schmidt(phi[:, c], selected)
+            ss = float(w @ w)
+            if ss <= RANK_TOL * (phi[:, c] @ phi[:, c]):
+                continue
+            try:
+                press = press_of(selected, w, target)
+            except LeverageError:
+                continue
+            proj = float(resid @ w)
+            bound = rr - proj * (proj / ss)
+            assert bound <= _bound_threshold(n_rows, press, rr)
 
 
 def evaluations_per_step(kernel, problem, forced_first):

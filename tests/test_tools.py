@@ -35,9 +35,13 @@ ARX = stage(["y(t-1)", "u(t-1)"], [0.5, 1.0], bias="0.25")
 NARX = stage(["y(t-1)", "u(t-1)", "y(t-1)*u(t-1)"], [0.5, 1.0, -0.125], n_evaluations=1000)
 
 
-def write_run(root, narx, arx=ARX, chosen="NARX", stop_reason=None):
+MEASURED = [0.5, -2.0, 1.0]
+
+
+def write_run(root, narx, arx=ARX, chosen="NARX", stop_reason=None, simulated=MEASURED):
     """One identify operation's directory, as the tool's first form writes
-    it; with ``stop_reason``, also the chosen model's ``model.json``."""
+    it; with ``stop_reason``, also the chosen model's ``model.json``.  Its
+    ``simulation.csv`` measures ``MEASURED`` and simulates ``simulated``."""
     op = root / "reduced-err" / "case-c-err-m2"
     op.mkdir(parents=True)
     doc = {"schema": "narxid-report/1", "chosen": chosen, "arx": arx, "narx": narx}
@@ -50,7 +54,12 @@ def write_run(root, narx, arx=ARX, chosen="NARX", stop_reason=None):
             "provenance": {"criterion": "press", "stop_reason": stop_reason},
         }
         (op / "model.json").write_text(json.dumps(model, indent=2) + "\n")
-    (op / "simulation.csv").write_text("t,y\r\n1,0.5\r\n")
+    measured = (MEASURED * 2)[: len(simulated)]  # a longer run repeats it
+    lines = ["t,measured,simulated,residual"] + [
+        f"{t},{m!r},{s!r},{m - s!r}"
+        for t, m, s in zip(range(1, len(simulated) + 1), measured, simulated)
+    ]
+    (op / "simulation.csv").write_text("\r\n".join(lines) + "\r\n")
     (root / "reduced-err" / "inputs").mkdir()
     # .cfg inputs name their own paths and are never compared
     (root / "reduced-err" / "inputs" / "run.cfg").write_text(f"data = {root}/d.csv\n")
@@ -156,6 +165,24 @@ def test_unchanged_stop_reason_adds_no_row(tmp_path, capsys):
     code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
     assert not any("stop reason" in line for line in lines)
     assert semantic_rows(lines)[1][-1] == "n_evaluations 1000 -> 324"
+
+
+def test_simulation_change_relative_to_the_output_scale(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX, simulated=[0.5, -1.9, 1.0])
+    moved = stage(NARX["terms"], [0.5, 1.0, -0.124])
+    write_run(tmp_path / "b", moved, simulated=[0.5, -1.898, 1.0])
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    op = "reduced-err/case-c-err-m2"
+    # |-1.898 - (-1.9)| over the largest measured magnitude, 2.0
+    assert semantic_rows(lines)[-1] == [op, "-", "simulated output, max change / output scale", "1.0e-03", "-"]
+
+
+def test_simulation_with_other_row_count(tmp_path, capsys):
+    write_run(tmp_path / "a", NARX)
+    write_run(tmp_path / "b", stage(NARX["terms"], [0.5, 1.0, -0.124]), simulated=MEASURED + [0.5])
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert semantic_rows(lines)[-1][2:4] == ["simulated output, max change / output scale", "rows 3 -> 4"]
 
 
 @pytest.mark.parametrize("a, b, expected", [

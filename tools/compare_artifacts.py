@@ -26,8 +26,10 @@ dropped), the largest relative change of a coefficient (the bias included)
 of a term both keep, and the counts (``n_evaluations``, ``pool_size``,
 ``pool_unstable``) that changed.  A row under the chosen stage names a
 changed path stop reason, read from ``model.json``'s provenance (the only
-model saved).  It reports and does not judge: it exits 0 whatever it
-finds.
+model saved).  When the operation's ``simulation.csv`` differs, a last row
+gives the largest change of its ``simulated`` column relative to the
+output's scale, the largest ``measured`` magnitude in A.  It reports and
+does not judge: it exits 0 whatever it finds.
 
 A change that must keep the program's output runs the first form on a
 checkout of the parent commit and on the change, at the same seed, and
@@ -38,12 +40,15 @@ bits on purpose quotes the third form's table.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 WORKLOAD_NAMES = ("small-batch", "large-dict", "reduced-err", "replay-long")
 IGNORED_SUFFIXES = (".cfg",)
@@ -168,6 +173,26 @@ def _stop_reason(op_dir: Path) -> str | None:
     return None if model is None else (json.loads(model).get("provenance") or {}).get("stop_reason")
 
 
+def _simulation_columns(path: Path) -> dict[str, np.ndarray]:
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return dict(zip(header, values.T))
+
+
+def simulation_change(a: Path, b: Path) -> str:
+    """The largest change of the simulated output from ``simulation.csv``
+    ``a`` to ``b``, relative to the output's scale: the largest measured
+    magnitude in ``a``."""
+    sim_a, sim_b = _simulation_columns(a), _simulation_columns(b)
+    simulated_a, simulated_b = sim_a["simulated"], sim_b["simulated"]
+    if simulated_a.shape != simulated_b.shape:
+        return f"rows {simulated_a.size} -> {simulated_b.size}"
+    change = float(np.max(np.abs(simulated_b - simulated_a), initial=0.0))
+    scale = float(np.max(np.abs(sim_a["measured"]), initial=0.0))
+    return f"{change / scale:.1e}"
+
+
 def semantic_diff(a: Path, b: Path) -> int:
     """Print what changed in each identification that differs; always 0."""
     reports_a = {p.relative_to(a).parent for p in a.rglob("report.json")}
@@ -191,6 +216,10 @@ def semantic_diff(a: Path, b: Path) -> int:
                 rows.append((str(op), stage, f"stop reason {stop_a} -> {stop_b}", "-", "-"))
         if doc_a["chosen"] != doc_b["chosen"]:
             rows.append((str(op), "-", f"chosen {doc_a['chosen']} -> {doc_b['chosen']}", "-", "-"))
+        sim_a, sim_b = a / op / "simulation.csv", b / op / "simulation.csv"
+        if _bytes(sim_a) != _bytes(sim_b) and sim_a.exists() and sim_b.exists():
+            change = simulation_change(sim_a, sim_b)
+            rows.append((str(op), "-", "simulated output, max change / output scale", change, "-"))
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), row[4], sep="  ")
