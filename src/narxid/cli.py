@@ -136,12 +136,7 @@ def _run_config_from_args(args) -> tuple[RunConfig, LagSpec, SearchConfig]:
         raise ConfigError("no input data file given (config key 'data' or --data)")
     spec = run.lag_spec()
     check_lag_bound(spec)
-    search_cfg = SearchConfig(
-        max_iterations=run.max_iterations,
-        epsilon=run.epsilon,
-        criterion=run.criterion,
-        max_terms=run.max_terms or None,
-    )
+    search_cfg = run.search_config()
     for name in ("validation_max_lag", "train_start", "train_end"):
         _check_non_negative(getattr(run, name), name)
     if run.train_end and run.train_end <= run.train_start:

@@ -132,6 +132,11 @@ def load_model(path) -> Model:
         raise DataError(f"{path}: model JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != MODEL_SCHEMA:
         raise DataError(f"{path}: unsupported model schema {doc.get('schema')!r}")
+    for key in ("terms", "coefficients"):
+        if key in doc and not isinstance(doc[key], list):
+            raise DataError(
+                f"{path}: model JSON {key!r} must be an array, got {type(doc[key]).__name__}"
+            )
     try:
         terms = tuple(parse_term(s) for s in doc["terms"])
         coefficients = tuple(float(c) for c in doc["coefficients"])
@@ -173,6 +178,11 @@ class RunConfig:
 
     def lag_spec(self) -> LagSpec:
         return LagSpec(self.n_a, self.n_b, self.degree, self.include_constant)
+
+    def search_config(self) -> SearchConfig:
+        return SearchConfig(
+            self.max_iterations, self.epsilon, self.criterion, self.max_terms or None
+        )
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,

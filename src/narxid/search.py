@@ -85,7 +85,6 @@ class PoolEntry:
     """One candidate model with its screening and scoring record."""
 
     model: Model
-    seed_term: Term | None
     verdict: StabilityVerdict
     msse: float
     bic: float
@@ -186,7 +185,6 @@ def build_model(
 
 def _score_entry(
     path: SelectionPath,
-    seed_term: Term | None,
     data: IoData,
     problem: RegressionProblem,
     cfg: SearchConfig,
@@ -208,7 +206,7 @@ def _score_entry(
             msse = float(np.mean(err**2))
             if n > k:
                 bic = bic_of(max(msse, msse_floor), n, k)
-    return PoolEntry(model, seed_term, verdict, msse, bic, path)
+    return PoolEntry(model, verdict, msse, bic, path)
 
 
 def _exact_fit_columns(
@@ -320,7 +318,7 @@ def iterative_ofr(
                     max_terms=cfg.max_terms,
                 )
                 table[index] = _score_entry(
-                    path, dictionary[index], data, problem, cfg, msse_floor, data_hash
+                    path, data, problem, cfg, msse_floor, data_hash
                 )
         ranked = [
             e for e in (table[i] for i in seeds) if e is not None and e.selectable
@@ -336,8 +334,7 @@ def iterative_ofr(
                 if columns not in table:
                     pruned = _exact_fit_prune(problem, winner.path, columns, cfg.criterion)
                     table[columns] = _score_entry(
-                        pruned, winner.seed_term, data, problem, cfg, msse_floor,
-                        data_hash,
+                        pruned, data, problem, cfg, msse_floor, data_hash
                     )
                 entry = table[columns]
                 if entry is not None and entry.selectable and entry.bic <= winner.bic:

@@ -113,13 +113,6 @@ class StabilityVerdict:
 
     ``mean0``/``var0`` describe the post-settle response to an all-zero
     input, ``mean1``/``var1`` the response to an all-ones input.
-    ``bias_mean_ok`` records whether the zero-input mean came within
-    ``sqrt(epsilon)`` of the model bias.  That mean is the zero-input
-    equilibrium, which is the bias only for a model without output terms (a
-    linear model settles at ``bias / (1 - sum of its output coefficients)``),
-    so a model with output terms and a bias mostly reads False however well
-    it fits.  It does not enter ``stable``: a bounded response with an
-    unexpected fixed point is still reported stable.
     """
 
     stable: bool
@@ -128,7 +121,6 @@ class StabilityVerdict:
     mean1: float
     var1: float
     diverged: bool
-    bias_mean_ok: bool = True
 
 
 def _constant_tail_start(u: np.ndarray) -> int:
@@ -290,5 +282,4 @@ def stability_probe(model: Model, epsilon: float = PROBE_EPSILON) -> StabilityVe
         and var0 <= epsilon
         and var1 <= epsilon
     )
-    bias_mean_ok = (not diverged) and abs(mean0 - model.bias) <= math.sqrt(epsilon)
-    return StabilityVerdict(stable, mean0, var0, mean1, var1, diverged, bias_mean_ok)
+    return StabilityVerdict(stable, mean0, var0, mean1, var1, diverged)

@@ -300,9 +300,9 @@ def test_criterion_6_stability_probe_and_pool_exclusion():
 
         # pool selection: the unstable entry would win on BIC if eligible
         entries = [
-            PoolEntry(unstable_model, None, bad, msse=1e-12,
+            PoolEntry(unstable_model, bad, msse=1e-12,
                       bic=bic_of(1e-12, 100, 2)),
-            PoolEntry(stable_model, None, good, msse=1e-3,
+            PoolEntry(stable_model, good, msse=1e-3,
                       bic=bic_of(1e-3, 100, 2)),
         ]
         pool = ModelPool(entries)

@@ -374,6 +374,8 @@ class TestSimulateAndValidate:
         bad_term = dict(good, terms=["q(t-1)"], coefficients=["1"])
         short_coefficients = dict(good, coefficients=["0.5"])
         beyond_lags = dict(good, terms=["y(t-3)", "u(t-1)"])
+        # a string is not a list of coefficients, though it iterates as one
+        string_coefficients = dict(good, coefficients="51")
         path = tmp_path / "m.json"
 
         def simulate(doc):
@@ -385,7 +387,8 @@ class TestSimulateAndValidate:
 
         assert simulate(good) == 0
         for doc in (
-            no_terms, no_n_b, [good], bad_term, short_coefficients, beyond_lags
+            no_terms, no_n_b, [good], bad_term, short_coefficients, beyond_lags,
+            string_coefficients,
         ):
             capsys.readouterr()
             assert simulate(doc) == 3

@@ -1,6 +1,7 @@
 """CSV ingestion, config parsing, model and report serialization."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -35,6 +36,8 @@ from narxid.dataio import (
     write_csv,
     write_timeseries_csv,
 )
+from narxid.search import SearchConfig
+from narxid.simulation import StabilityVerdict
 
 
 def reference_write_csv(path, header, index, columns):
@@ -288,6 +291,16 @@ class TestRunConfig:
         assert cfg.n_a == 3
         assert cfg.criterion is Criterion.ERR
 
+    def test_search_config(self):
+        # max_terms 0 is the identifiability default, None to the search
+        assert RunConfig().search_config() == SearchConfig()
+        cfg = apply_config_values(
+            RunConfig(), {"max_terms": "7", "epsilon": "0.5", "criterion": "err"}
+        )
+        assert cfg.search_config() == SearchConfig(
+            epsilon=0.5, criterion=Criterion.ERR, max_terms=7
+        )
+
 
 class TestRenderReport:
     @pytest.fixture()
@@ -325,6 +338,14 @@ class TestRenderReport:
         assert doc["chosen"] in ("ARX", "NARX")
         assert len(doc["table"]) == len(report.table)
         assert doc["validation"]["tests"]
+
+    def test_stability_block_holds_the_verdict_fields(self, run_artifacts):
+        _, _, out, _ = run_artifacts
+        doc = json.loads((out / "report.json").read_text())
+        names = [f.name for f in dataclasses.fields(StabilityVerdict)]
+        assert names == ["stable", "mean0", "var0", "mean1", "var1", "diverged"]
+        for stage in ("arx", "narx"):
+            assert sorted(doc[stage]["stability"]) == sorted(names)
 
     def test_saved_model_loads(self, run_artifacts):
         report, _, out, _ = run_artifacts

@@ -113,11 +113,14 @@ class TestIterativeOfr:
     def test_single_seed_single_iteration_runs_one_path(self):
         data = benchmark_data(train=120)
         d = full_dictionary()
-        seed_term = d[0]
         cfg = SearchConfig(max_iterations=1)
-        result = iterative_ofr(d, [seed_term], data, cfg)
+        result = iterative_ofr(d, [d[0]], data, cfg)
         assert result.iterations == 1
-        assert len({e.seed_term for e in result.pool}) == 1
+        # the seed's own path, then at most its pruned re-selection
+        first, *pruned = result.pool
+        assert first.path.term_indices[0] == 0
+        assert len(pruned) <= 1
+        assert all(e.path.stop_reason.startswith("exact-fit pruning") for e in pruned)
 
     def test_preselect_term_outside_the_dictionary(self):
         outside = parse_term("y(t-3)")
@@ -341,11 +344,9 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
         ]
 
         iteration_best = iteration_best_key = None
-        for order, (seed, path) in enumerate(zip(seeds, paths)):
+        for order, path in enumerate(paths):
             n_evaluations += path.n_evaluated
-            entry = _score_entry(
-                path, seed, data, problem, cfg, msse_floor, data_hash
-            )
+            entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
             if entry is None:
                 continue
             pool.append(entry)
@@ -366,8 +367,7 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
                 )
                 n_evaluations += pruned.n_evaluated
                 entry = _score_entry(
-                    pruned, iteration_best.seed_term, data,
-                    problem, cfg, msse_floor, data_hash,
+                    pruned, data, problem, cfg, msse_floor, data_hash
                 )
                 if entry is not None:
                     pool.append(entry)

@@ -310,7 +310,7 @@ class TestGeneratedRecursion:
                 module, "simulate_free_run", counted(simulate_free_run, runs)
             )
         _compiled_recursion.cache_clear()
-        entry = _score_entry(path, None, data, problem, SearchConfig(), 0.0, "")
+        entry = _score_entry(path, data, problem, SearchConfig(), 0.0, "")
         assert entry.verdict.stable and math.isfinite(entry.msse)
         assert len(runs) == 3  # two probe runs and the scoring run
         assert len(sources) == 1
@@ -393,7 +393,14 @@ class TestStabilityProbe:
         verdict = stability_probe(m)
         assert verdict.stable
         assert verdict.mean0 == pytest.approx(5.0)
-        assert verdict.bias_mean_ok
+
+    def test_zero_input_mean_is_the_equilibrium_not_the_bias(self):
+        # y(t) = 0.5 y(t-1) + u(t-1) + 1 settles at 1 / (1 - 0.5) under u == 0
+        m = Model((parse_term("y(t-1)"), parse_term("u(t-1)")), (0.5, 1.0), bias=1.0)
+        verdict = stability_probe(m)
+        assert verdict.stable
+        assert verdict.mean0 == 2.0
+        assert verdict.var0 == 0.0
 
     def test_bounded_oscillation_with_variance_fails(self):
         # y(t) = -y(t-1) + u(t-1): under u == 1 the output alternates 1, 0,

@@ -115,6 +115,26 @@ def test_changed_term_set_and_counts(tmp_path, capsys):
     assert narx.endswith("n_evaluations 1000 -> 1200, pool_size 9 -> 8, pool_unstable 0 -> 1")
 
 
+def test_other_changed_stage_keys_are_named(tmp_path, capsys):
+    # same terms and coefficients: only the keys the last cell names moved
+    before = dict(NARX, stability={"stable": True, "mean0": 0.5, "var0": float("nan"), "bias_mean_ok": False})
+    after = dict(
+        NARX, bic=-101.5, msse=2e-3, iterations=3, converged=False,
+        stability={"stable": True, "mean0": 0.25, "var0": float("nan"), "var1": 0.0},
+    )
+    write_run(tmp_path / "a", before)
+    write_run(tmp_path / "b", after)
+    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 0
+    op = "reduced-err/case-c-err-m2"
+    assert semantic_rows(lines) == [
+        [op, "arx", "same terms, same order", "0.0e+00", "-"],
+        [op, "narx", "same terms, same order", "0.0e+00",
+         "bic -100.0 -> -101.5, converged true -> false, iterations 2 -> 3, msse 0.001 -> 0.002, "
+         "stability.bias_mean_ok removed, stability.mean0 0.5 -> 0.25, stability.var1 added"],
+    ]
+
+
 def test_stage_present_on_one_side(tmp_path, capsys):
     write_run(tmp_path / "a", NARX)
     write_run(tmp_path / "b", None, chosen="ARX")

@@ -23,9 +23,10 @@ The third form reads every operation whose ``report.json`` or
 identification stage: whether B keeps A's terms in the same order, keeps
 them in another order, or changes the set (naming the terms added and
 dropped), the largest relative change of a coefficient (the bias included)
-of a term both keep, and the counts (``n_evaluations``, ``pool_size``,
-``pool_unstable``) that changed.  A row under the chosen stage names a
-changed path stop reason, read from ``model.json``'s provenance (the only
+of a term both keep, and every other stage key that changed, by name (such
+as ``n_evaluations``, ``bic``, and each ``stability`` entry on its own, as
+``stability.var0``): ``KEY A -> B``, ``KEY added`` or ``KEY removed``.  A
+row under the chosen stage names a changed path stop reason, read from ``model.json``'s provenance (the only
 model saved).  When the operation's ``simulation.csv`` differs, a last row
 gives the largest change of its ``simulated`` column relative to the
 output's scale, the largest ``measured`` magnitude in A.  It reports and
@@ -53,7 +54,8 @@ import numpy as np
 WORKLOAD_NAMES = ("small-batch", "large-dict", "reduced-err", "replay-long")
 IGNORED_SUFFIXES = (".cfg",)
 STAGES = ("arx", "narx")
-COUNTS = ("n_evaluations", "pool_size", "pool_unstable")
+# stage keys the terms and coefficient cells already compare
+COMPARED = {"terms", "coefficients", "bias"}
 
 # Runs in the fresh interpreter: argv is tree, seed, out, workload names.
 CHILD = r"""
@@ -143,9 +145,38 @@ def _relative_change(a: float, b: float) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def _flat_keys(stage: dict) -> dict:
+    """The stage's values by key, a nested block's as ``block.key``."""
+    flat = {}
+    for key, value in stage.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", x) for sub, x in value.items())
+        else:
+            flat[key] = value
+    return flat
+
+
+def changed_keys(a: dict, b: dict) -> str:
+    """Every key of stage ``a`` or ``b``, other than its terms and
+    coefficients, whose value changed, in name order."""
+    flat_a, flat_b = _flat_keys(a), _flat_keys(b)
+    changes = []
+    for key in sorted((flat_a.keys() | flat_b.keys()) - COMPARED):
+        if key not in flat_b:
+            changes.append(f"{key} removed")
+        elif key not in flat_a:
+            changes.append(f"{key} added")
+        else:
+            # JSON text, so NaN equals NaN and -0.0 differs from 0.0, as in the file
+            va, vb = json.dumps(flat_a[key]), json.dumps(flat_b[key])
+            if va != vb:
+                changes.append(f"{key} {va} -> {vb}")
+    return ", ".join(changes) or "-"
+
+
 def compare_stage(a: dict | None, b: dict | None) -> tuple[str, str, str]:
     """How stage ``b`` differs from stage ``a``: the term verdict, the
-    largest relative coefficient change and the changed counts."""
+    largest relative coefficient change and the other changed keys."""
     if a is None or b is None:
         return ("no stage in either" if a is b else f"stage only in {'B' if a is None else 'A'}"), "-", "-"
     terms_a, terms_b = a["terms"], b["terms"]
@@ -159,8 +190,7 @@ def compare_stage(a: dict | None, b: dict | None) -> tuple[str, str, str]:
         verdict = f"terms differ: added {added}; dropped {dropped}"
     coefs_a, coefs_b = _coefficients(a), _coefficients(b)
     change = max(_relative_change(coefs_a[t], coefs_b[t]) for t in coefs_a.keys() & coefs_b.keys())
-    counts = ", ".join(f"{k} {a[k]} -> {b[k]}" for k in COUNTS if a[k] != b[k]) or "-"
-    return verdict, f"{change:.1e}", counts
+    return verdict, f"{change:.1e}", changed_keys(a, b)
 
 
 def _bytes(path: Path) -> bytes | None:
@@ -197,7 +227,7 @@ def semantic_diff(a: Path, b: Path) -> int:
     """Print what changed in each identification that differs; always 0."""
     reports_a = {p.relative_to(a).parent for p in a.rglob("report.json")}
     reports_b = {p.relative_to(b).parent for p in b.rglob("report.json")}
-    rows = [("operation", "stage", "terms", "max rel coef change", "counts changed")]
+    rows = [("operation", "stage", "terms", "max rel coef change", "other keys changed")]
     differ = 0
     for op in sorted(reports_a | reports_b):
         if op not in reports_a or op not in reports_b:
