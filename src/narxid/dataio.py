@@ -123,6 +123,14 @@ def save_model(model: Model, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _number(value) -> float:
+    """``float(value)`` for a model's number; a JSON boolean, which
+    ``float`` reads as 1 or 0, is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_model(path) -> Model:
     try:
         doc = json.loads(Path(path).read_text())
@@ -139,8 +147,8 @@ def load_model(path) -> Model:
             )
     try:
         terms = tuple(parse_term(s) for s in doc["terms"])
-        coefficients = tuple(float(c) for c in doc["coefficients"])
-        bias = float(doc.get("bias", 0.0))
+        coefficients = tuple(_number(c) for c in doc["coefficients"])
+        bias = _number(doc.get("bias", 0.0))
         spec = None
         if doc.get("lag_spec"):
             ls = doc["lag_spec"]

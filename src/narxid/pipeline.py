@@ -169,8 +169,7 @@ def identify(
     timings: dict[str, float] = {}
     notes: list[str] = []
 
-    linear_spec = replace(spec, degree=1)
-    d_linear = build_linear_dictionary(linear_spec)
+    d_linear = build_linear_dictionary(spec)
     t0 = time.perf_counter()
     try:
         arx = iterative_ofr(d_linear, None, data, cfg)

@@ -147,7 +147,8 @@ class LagSpec:
 
     ``n_a``: maximum output lag; ``n_b``: maximum input lag; ``degree``:
     maximum monomial degree; ``include_constant``: whether the bias term is a
-    candidate.
+    candidate.  The three bounds must be ``int`` (not ``bool``) and
+    ``include_constant`` a ``bool``; any other type is a :class:`ConfigError`.
     """
 
     n_a: int
@@ -156,6 +157,12 @@ class LagSpec:
     include_constant: bool = True
 
     def __post_init__(self):
+        for name in ("n_a", "n_b", "degree"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.include_constant, bool):
+            raise ConfigError(f"include_constant must be a bool, got {self.include_constant!r}")
         if self.n_a < 0 or self.n_b < 0:
             raise ConfigError("lag bounds must be non-negative")
         if self.n_a + self.n_b < 1:

@@ -376,6 +376,12 @@ class TestSimulateAndValidate:
         beyond_lags = dict(good, terms=["y(t-3)", "u(t-1)"])
         # a string is not a list of coefficients, though it iterates as one
         string_coefficients = dict(good, coefficients="51")
+        # JSON booleans are not numbers, and lag_spec values keep their types
+        bool_coefficients = dict(good, coefficients=[True, False])
+        bool_bias = dict(good, bias=True)
+        fractional_n_a = dict(good, lag_spec=dict(good["lag_spec"], n_a=2.5))
+        bool_degree = dict(good, lag_spec=dict(good["lag_spec"], degree=True))
+        string_constant = dict(good, lag_spec=dict(good["lag_spec"], include_constant="no"))
         path = tmp_path / "m.json"
 
         def simulate(doc):
@@ -388,7 +394,8 @@ class TestSimulateAndValidate:
         assert simulate(good) == 0
         for doc in (
             no_terms, no_n_b, [good], bad_term, short_coefficients, beyond_lags,
-            string_coefficients,
+            string_coefficients, bool_coefficients, bool_bias, fractional_n_a, bool_degree,
+            string_constant,
         ):
             capsys.readouterr()
             assert simulate(doc) == 3

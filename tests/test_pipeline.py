@@ -397,6 +397,37 @@ class TestReductionPlans:
         assert report.narx.n_evaluations == narx_search.n_evaluations + sketch_evals
 
 
+class TestFittedRows:
+    @pytest.mark.xfail(strict=True, reason=(
+        "open defect (ROADMAP item 21): build_problem starts the fitted rows "
+        "at the largest lag of the dictionary it is given, and the reduced "
+        "dictionary's is 1 here, so the stages' BICs cover other samples"
+    ))
+    @pytest.mark.parametrize("method", [ReductionMethod.M1, ReductionMethod.M3])
+    def test_both_stages_fit_the_same_rows(self, monkeypatch, method):
+        # y(t) = 0.5 y(t-1) + u(t-1) with output noise: the linear stage keeps
+        # y(t-1) and u(t-1) and fits 298 of the 300 samples
+        rng = np.random.default_rng(1)
+        u = rng.normal(size=300)
+        y = np.zeros(300)
+        for t in range(1, 300):
+            y[t] = 0.5 * y[t - 1] + u[t - 1]
+        y += 0.05 * rng.normal(size=300)
+        rows = []
+
+        def recording_build_problem(data, dictionary):
+            problem = build_problem(data, dictionary)
+            rows.append((problem.offset, len(problem.target)))
+            return problem
+
+        monkeypatch.setattr(narxid.search, "build_problem", recording_build_problem)
+        report = identify(IoData(u, y), LagSpec(2, 2, 2, include_constant=False), method)
+        assert [str(t) for t in report.arx.model.terms] == ["y(t-1)", "u(t-1)"]
+        linear_rows, nonlinear_rows = rows
+        assert linear_rows == (2, 298)
+        assert nonlinear_rows == linear_rows
+
+
 class TestBiasHandling:
     def test_constant_candidate_folds_into_bias(self):
         # biased linear system: y = 0.6 y(t-1) + u(t-1) + 0.8; fixed point

@@ -257,6 +257,26 @@ class TestExactFitPruning:
             == second.best.model.provenance["stop_reason"]
         )
 
+    @pytest.mark.parametrize("record", ["white-3-3", "multitone-err"])
+    def test_pruned_reselection_runs_without_stop_rules(self, record):
+        # the re-selection must take every kept column: with the stop rules
+        # on, the white-noise path ends on a PRESS increase after 6 of its 9
+        # columns and the search keeps 12 terms ("PRESS floor"); the
+        # multitone ERR search keeps 10 ("cumulative ERR threshold")
+        if record == "white-3-3":
+            u = generate_signal(WhiteNoise(length=60, seed=2))
+            data = IoData(u, dc_motor_reference(u))
+            spec, criterion = LagSpec(3, 3, 2, include_constant=False), Criterion.PRESS
+        else:
+            u = generate_signal(Multitone(length=300, sample_period=0.12))
+            data = IoData(u[:200], dc_motor_reference(u)[:200])
+            spec, criterion = LagSpec(2, 2, 2, include_constant=False), Criterion.ERR
+        d = expand_dictionary(build_linear_dictionary(spec), 2)
+        result = iterative_ofr(d, None, data, SearchConfig(criterion=criterion))
+        true_terms, _ = dc_motor_terms()
+        assert pruned(result.best)
+        assert sorted(map(str, result.model.terms)) == sorted(map(str, true_terms))
+
     def test_one_term_winner_is_kept(self):
         # y(t) = u(t-1): an ERR path seeded by u(t-1) fits exactly in one
         # step, and pruning cannot drop the only term it has

@@ -83,6 +83,16 @@ class TestLagSpec:
         with pytest.raises(ConfigError):
             LagSpec(-1, 2)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_a": 2.5}, {"n_b": "2"}, {"n_b": True}, {"degree": True}, {"degree": 2.0},
+        {"include_constant": "no"}, {"include_constant": 1},
+    ])
+    def test_rejects_wrong_types(self, kwargs):
+        values = dict({"n_a": 2, "n_b": 2, "degree": 2, "include_constant": False}, **kwargs)
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=name):
+            LagSpec(**values)
+
     def test_max_lag(self):
         assert LagSpec(2, 3).max_lag == 3
 

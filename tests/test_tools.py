@@ -1,5 +1,5 @@
 """tools/compare_artifacts.py on hand-made artifact directories: the byte
-diff and the semantic diff of identification reports."""
+diff and its table of what changed in each identification report."""
 
 import importlib.util
 import json
@@ -76,8 +76,24 @@ def test_identical_directories(tmp_path, capsys):
     write_run(tmp_path / "b", NARX)
     code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
     assert code == 0 and lines == ["2 files compared, 0 differ"]
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0 and lines[1:] == ["1 reports compared, 0 differ"]
+
+
+def test_no_table_without_a_changed_report_in_both(tmp_path, capsys):
+    # only the simulation moved: the reports and models are the same bytes
+    write_run(tmp_path / "a", NARX, simulated=[0.5, -1.9, 1.0])
+    write_run(tmp_path / "b", NARX, simulated=[0.5, -1.898, 1.0])
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
+    assert lines == ["differs: reduced-err/case-c-err-m2/simulation.csv", "2 files compared, 1 differ"]
+    # a report in one tree only is named by the file list alone
+    (tmp_path / "c").mkdir()
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "c"), str(tmp_path / "b"))
+    assert code == 1
+    assert lines == [
+        f"only in {tmp_path / 'b'}: reduced-err/case-c-err-m2/report.json",
+        f"only in {tmp_path / 'b'}: reduced-err/case-c-err-m2/simulation.csv",
+        "2 files compared, 2 differ",
+    ]
 
 
 def test_order_only_change(tmp_path, capsys):
@@ -88,16 +104,11 @@ def test_order_only_change(tmp_path, capsys):
     write_run(tmp_path / "b", reordered)
     code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
     assert code == 1
-    assert lines == ["differs: reduced-err/case-c-err-m2/report.json", "2 files compared, 1 differ"]
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
-    rows = [line.split("  ") for line in lines[1:-1]]
-    rows = [[cell.strip() for cell in row if cell.strip()] for row in rows]
-    assert rows == [
+    assert lines[:2] == ["differs: reduced-err/case-c-err-m2/report.json", "2 files compared, 1 differ"]
+    assert table_rows(lines) == [
         ["reduced-err/case-c-err-m2", "arx", "same terms, same order", "0.0e+00", "-"],
         ["reduced-err/case-c-err-m2", "narx", "same terms, other order", "2.0e-15", "-"],
     ]
-    assert lines[-1] == "1 reports compared, 1 differ"
 
 
 def test_changed_term_set_and_counts(tmp_path, capsys):
@@ -107,8 +118,8 @@ def test_changed_term_set_and_counts(tmp_path, capsys):
         n_evaluations=1200, pool_size=8, pool_unstable=1,
     )
     write_run(tmp_path / "b", changed)
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
     (narx,) = [line for line in lines if " narx " in line]
     assert "terms differ: added u(t-2)^2; dropped y(t-1)*u(t-1)" in narx
     assert "5.0e-01" in narx  # u(t-1): 1.0 -> 1.5
@@ -124,10 +135,10 @@ def test_other_changed_stage_keys_are_named(tmp_path, capsys):
     )
     write_run(tmp_path / "a", before)
     write_run(tmp_path / "b", after)
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
     op = "reduced-err/case-c-err-m2"
-    assert semantic_rows(lines) == [
+    assert table_rows(lines) == [
         [op, "arx", "same terms, same order", "0.0e+00", "-"],
         [op, "narx", "same terms, same order", "0.0e+00",
          "bic -100.0 -> -101.5, converged true -> false, iterations 2 -> 3, msse 0.001 -> 0.002, "
@@ -138,14 +149,17 @@ def test_other_changed_stage_keys_are_named(tmp_path, capsys):
 def test_stage_present_on_one_side(tmp_path, capsys):
     write_run(tmp_path / "a", NARX)
     write_run(tmp_path / "b", None, chosen="ARX")
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
     assert any(" narx " in line and "stage only in A" in line for line in lines)
     assert any("chosen NARX -> ARX" in line for line in lines)
 
 
-def semantic_rows(lines):
-    rows = [line.split("  ") for line in lines[1:-1]]
+def table_rows(lines):
+    """The table's rows, split into cells: the lines after the file list,
+    the count line and the table's header."""
+    start = next(i for i, line in enumerate(lines) if line.endswith(" differ")) + 2
+    rows = [line.split("  ") for line in lines[start:]]
     return [[cell.strip() for cell in row if cell.strip()] for row in rows]
 
 
@@ -156,24 +170,21 @@ def test_changed_stop_reason_only(tmp_path, capsys, chosen):
     write_run(tmp_path / "b", NARX, chosen=chosen, stop_reason="PRESS floor")
     code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
     assert code == 1 and "differs: reduced-err/case-c-err-m2/model.json" in lines
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
     op = "reduced-err/case-c-err-m2"
     same = ["same terms, same order", "0.0e+00", "-"]
     stop = [op, chosen.lower(), "stop reason PRESS increase -> PRESS floor", "-", "-"]
     expected = [[op, "arx", *same], [op, "narx", *same]]
     expected.insert(1 if chosen == "ARX" else 2, stop)
-    assert semantic_rows(lines) == expected
-    assert lines[-1] == "1 reports compared, 1 differ"
+    assert table_rows(lines) == expected
 
 
 def test_stop_reason_with_changed_counts(tmp_path, capsys):
     write_run(tmp_path / "a", NARX, stop_reason="exact-fit pruning (dropped u(t-2), y(t-2))")
     fewer = stage(NARX["terms"], [0.5, 1.0, -0.125], n_evaluations=640, pool_size=8)
     write_run(tmp_path / "b", fewer, stop_reason="PRESS floor")
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
     op = "reduced-err/case-c-err-m2"
-    assert semantic_rows(lines)[1:] == [
+    assert table_rows(lines)[1:] == [
         [op, "narx", "same terms, same order", "0.0e+00", "n_evaluations 1000 -> 640, pool_size 9 -> 8"],
         [op, "narx", "stop reason exact-fit pruning (dropped u(t-2), y(t-2)) -> PRESS floor", "-", "-"],
     ]
@@ -182,27 +193,27 @@ def test_stop_reason_with_changed_counts(tmp_path, capsys):
 def test_unchanged_stop_reason_adds_no_row(tmp_path, capsys):
     write_run(tmp_path / "a", NARX, stop_reason="PRESS floor")
     write_run(tmp_path / "b", stage(NARX["terms"], [0.5, 1.0, -0.125]), stop_reason="PRESS floor")
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
     assert not any("stop reason" in line for line in lines)
-    assert semantic_rows(lines)[1][-1] == "n_evaluations 1000 -> 324"
+    assert table_rows(lines)[1][-1] == "n_evaluations 1000 -> 324"
 
 
 def test_simulation_change_relative_to_the_output_scale(tmp_path, capsys):
     write_run(tmp_path / "a", NARX, simulated=[0.5, -1.9, 1.0])
     moved = stage(NARX["terms"], [0.5, 1.0, -0.124])
     write_run(tmp_path / "b", moved, simulated=[0.5, -1.898, 1.0])
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert code == 0
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert code == 1
     op = "reduced-err/case-c-err-m2"
     # |-1.898 - (-1.9)| over the largest measured magnitude, 2.0
-    assert semantic_rows(lines)[-1] == [op, "-", "simulated output, max change / output scale", "1.0e-03", "-"]
+    assert table_rows(lines)[-1] == [op, "-", "simulated output, max change / output scale", "1.0e-03", "-"]
 
 
 def test_simulation_with_other_row_count(tmp_path, capsys):
     write_run(tmp_path / "a", NARX)
     write_run(tmp_path / "b", stage(NARX["terms"], [0.5, 1.0, -0.124]), simulated=MEASURED + [0.5])
-    code, lines = run_tool(capsys, "--semantic", str(tmp_path / "a"), str(tmp_path / "b"))
-    assert semantic_rows(lines)[-1][2:4] == ["simulated output, max change / output scale", "rows 3 -> 4"]
+    code, lines = run_tool(capsys, "--diff", str(tmp_path / "a"), str(tmp_path / "b"))
+    assert table_rows(lines)[-1][2:4] == ["simulated output, max change / output scale", "rows 3 -> 4"]
 
 
 @pytest.mark.parametrize("a, b, expected", [

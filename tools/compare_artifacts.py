@@ -4,7 +4,6 @@ Usage::
 
     python3 tools/compare_artifacts.py --tree PATH --seed N --out DIR [--workloads a,b]
     python3 tools/compare_artifacts.py --diff DIR_A DIR_B
-    python3 tools/compare_artifacts.py --semantic DIR_A DIR_B
 
 The first form sets up each workload of ``PATH/bench/workloads.py`` with
 seed ``N`` and runs each of its operations once through ``narxid.cli.main``,
@@ -16,26 +15,25 @@ of a report that changes from run to run, is dropped from every
 
 The second form lists the files that differ between two such directories,
 or exist in only one, and exits 1 if any do.  The ``.cfg`` inputs are not
-compared, because they name the paths of their own records.
-
-The third form reads every operation whose ``report.json`` or
-``model.json`` differs between the two directories and prints one row per
+compared, because they name the paths of their own records.  Then, for
+each operation whose ``report.json`` or ``model.json`` differs and whose
+``report.json`` is in both directories, it prints one row per
 identification stage: whether B keeps A's terms in the same order, keeps
 them in another order, or changes the set (naming the terms added and
 dropped), the largest relative change of a coefficient (the bias included)
 of a term both keep, and every other stage key that changed, by name (such
 as ``n_evaluations``, ``bic``, and each ``stability`` entry on its own, as
 ``stability.var0``): ``KEY A -> B``, ``KEY added`` or ``KEY removed``.  A
-row under the chosen stage names a changed path stop reason, read from ``model.json``'s provenance (the only
-model saved).  When the operation's ``simulation.csv`` differs, a last row
-gives the largest change of its ``simulated`` column relative to the
-output's scale, the largest ``measured`` magnitude in A.  It reports and
-does not judge: it exits 0 whatever it finds.
+row under the chosen stage names a changed path stop reason, read from
+``model.json``'s provenance (the only model saved).  When the operation's
+``simulation.csv`` differs, a last row gives the largest change of its
+``simulated`` column relative to the output's scale, the largest
+``measured`` magnitude in A.  Identical directories print only the count.
 
 A change that must keep the program's output runs the first form on a
 checkout of the parent commit and on the change, at the same seed, and
 then the second form on the two directories.  A change that moves output
-bits on purpose quotes the third form's table.
+bits on purpose quotes the second form's table.
 """
 
 from __future__ import annotations
@@ -114,7 +112,8 @@ def _files(root: Path) -> set[Path]:
 
 
 def diff_dirs(a: Path, b: Path) -> int:
-    """Print each file that differs between ``a`` and ``b``; 1 if any does."""
+    """Print each file that differs between ``a`` and ``b``, then what
+    changed in each identification among them; 1 if any file differs."""
     files_a, files_b = _files(a), _files(b)
     differ = sorted(
         rel for rel in files_a | files_b
@@ -129,6 +128,19 @@ def diff_dirs(a: Path, b: Path) -> int:
         else:
             print(f"differs: {rel}")
     print(f"{len(files_a | files_b)} files compared, {len(differ)} differ")
+    both = files_a & files_b
+    changed = both.intersection(differ)
+    ops = sorted({
+        rel.parent for rel in differ
+        if rel.name in ("report.json", "model.json") and rel.parent / "report.json" in both
+    })
+    if ops:
+        rows = [("operation", "stage", "terms", "max rel coef change", "other keys changed")]
+        for op in ops:
+            rows += _operation_rows(a, b, op, op / "simulation.csv" in changed)
+        widths = [max(len(row[i]) for row in rows) for i in range(4)]
+        for row in rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), row[4], sep="  ")
     return 1 if differ else 0
 
 
@@ -193,14 +205,12 @@ def compare_stage(a: dict | None, b: dict | None) -> tuple[str, str, str]:
     return verdict, f"{change:.1e}", changed_keys(a, b)
 
 
-def _bytes(path: Path) -> bytes | None:
-    return path.read_bytes() if path.exists() else None
-
-
 def _stop_reason(op_dir: Path) -> str | None:
     """The chosen model's path stop reason, from ``model.json``'s provenance."""
-    model = _bytes(op_dir / "model.json")
-    return None if model is None else (json.loads(model).get("provenance") or {}).get("stop_reason")
+    model = op_dir / "model.json"
+    if not model.exists():
+        return None
+    return (json.loads(model.read_text()).get("provenance") or {}).get("stop_reason")
 
 
 def _simulation_columns(path: Path) -> dict[str, np.ndarray]:
@@ -223,38 +233,22 @@ def simulation_change(a: Path, b: Path) -> str:
     return f"{change / scale:.1e}"
 
 
-def semantic_diff(a: Path, b: Path) -> int:
-    """Print what changed in each identification that differs; always 0."""
-    reports_a = {p.relative_to(a).parent for p in a.rglob("report.json")}
-    reports_b = {p.relative_to(b).parent for p in b.rglob("report.json")}
-    rows = [("operation", "stage", "terms", "max rel coef change", "other keys changed")]
-    differ = 0
-    for op in sorted(reports_a | reports_b):
-        if op not in reports_a or op not in reports_b:
-            differ += 1
-            rows.append((str(op), "-", f"report only in {'A' if op in reports_a else 'B'}", "-", "-"))
-            continue
-        text_a, text_b = (a / op / "report.json").read_text(), (b / op / "report.json").read_text()
-        if text_a == text_b and _bytes(a / op / "model.json") == _bytes(b / op / "model.json"):
-            continue
-        differ += 1
-        doc_a, doc_b = json.loads(text_a), json.loads(text_b)
-        stop_a, stop_b = _stop_reason(a / op), _stop_reason(b / op)
-        for stage in STAGES:
-            rows.append((str(op), stage, *compare_stage(doc_a[stage], doc_b[stage])))
-            if stage == doc_a["chosen"].lower() == doc_b["chosen"].lower() and stop_a != stop_b:
-                rows.append((str(op), stage, f"stop reason {stop_a} -> {stop_b}", "-", "-"))
-        if doc_a["chosen"] != doc_b["chosen"]:
-            rows.append((str(op), "-", f"chosen {doc_a['chosen']} -> {doc_b['chosen']}", "-", "-"))
-        sim_a, sim_b = a / op / "simulation.csv", b / op / "simulation.csv"
-        if _bytes(sim_a) != _bytes(sim_b) and sim_a.exists() and sim_b.exists():
-            change = simulation_change(sim_a, sim_b)
-            rows.append((str(op), "-", "simulated output, max change / output scale", change, "-"))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), row[4], sep="  ")
-    print(f"{len(reports_a | reports_b)} reports compared, {differ} differ")
-    return 0
+def _operation_rows(a: Path, b: Path, op: Path, simulation_differs: bool) -> list[tuple]:
+    """One row per stage of operation ``op``, and the stop reason, chosen
+    stage and simulation rows when those changed."""
+    doc_a, doc_b = (json.loads((root / op / "report.json").read_text()) for root in (a, b))
+    stop_a, stop_b = _stop_reason(a / op), _stop_reason(b / op)
+    rows = []
+    for stage in STAGES:
+        rows.append((str(op), stage, *compare_stage(doc_a[stage], doc_b[stage])))
+        if stage == doc_a["chosen"].lower() == doc_b["chosen"].lower() and stop_a != stop_b:
+            rows.append((str(op), stage, f"stop reason {stop_a} -> {stop_b}", "-", "-"))
+    if doc_a["chosen"] != doc_b["chosen"]:
+        rows.append((str(op), "-", f"chosen {doc_a['chosen']} -> {doc_b['chosen']}", "-", "-"))
+    if simulation_differs:
+        change = simulation_change(a / op / "simulation.csv", b / op / "simulation.csv")
+        rows.append((str(op), "-", "simulated output, max change / output scale", change, "-"))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -262,7 +256,6 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tree", type=Path, help="checkout whose src/ and bench/ to run")
     mode.add_argument("--diff", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"))
-    mode.add_argument("--semantic", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"))
     parser.add_argument("--seed", type=int, default=332)
     parser.add_argument("--out", type=Path, help="empty directory for the artifacts")
     parser.add_argument(
@@ -272,8 +265,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.diff:
         return diff_dirs(*args.diff)
-    if args.semantic:
-        return semantic_diff(*args.semantic)
     if args.out is None:
         parser.error("--tree needs --out")
     workloads = args.workloads.split(",")
