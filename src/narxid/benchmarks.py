@@ -10,6 +10,7 @@ sequence, all pure functions of their settings.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -87,6 +88,20 @@ def dc_motor_reference(u) -> np.ndarray:
     return y
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Reject a non-integer (a bool included) or one below ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class WhiteNoise:
     """Seeded standard Gaussian white noise (mean 0, std 1)."""
@@ -95,8 +110,8 @@ class WhiteNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError("signal length must be >= 1")
+        _check_integer("signal length", self.length, 1)
+        _check_integer("seed", self.seed, 0)
 
 
 # the multitone's (amplitude, angular frequency in rad/s) pairs, summed in
@@ -119,10 +134,11 @@ class Multitone:
     sample_period: float = 0.01
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError("signal length must be >= 1")
-        if self.sample_period <= 0:
-            raise ConfigError("sample_period must be positive")
+        _check_integer("signal length", self.length, 1)
+        if not (_is_finite_number(self.sample_period) and self.sample_period > 0):
+            raise ConfigError(
+                f"sample_period must be positive and finite, got {self.sample_period!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,10 +151,15 @@ class Prbs:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError("signal length must be >= 1")
-        if self.hold < 1:
-            raise ConfigError("hold must be >= 1")
+        _check_integer("signal length", self.length, 1)
+        _check_integer("hold", self.hold, 1)
+        _check_integer("seed", self.seed, 0)
+        try:
+            low, high = self.levels
+        except (TypeError, ValueError):
+            low = high = None
+        if not (_is_finite_number(low) and _is_finite_number(high)):
+            raise ConfigError(f"levels must be a pair of finite numbers, got {self.levels!r}")
 
 
 SignalSpec = Union[WhiteNoise, Multitone, Prbs]

@@ -173,7 +173,7 @@ def _cmd_identify(args) -> int:
     report = identify(train, spec, method=run.method, cfg=search_cfg)
     model = report.chosen_model
     validation = _validate(model, train, run.validation_max_lag)
-    sim = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
+    sim = simulate_free_run(model, data.u, data.y)
     written = render_report(report, validation, data.y, sim.output, run.output_dir)
     print(f"chosen: {report.chosen}; {model.n_terms} terms; "
           f"artifacts in {run.output_dir}")
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
         out = predict_one_step(model, data)
         diverged_at = None
     else:
-        run = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
+        run = simulate_free_run(model, data.u, data.y)
         out, diverged_at = run.output, run.diverged_at
     write_csv(
         args.out, ("t", "measured", "predicted"), range(1, len(data) + 1), (data.y, out)

@@ -96,7 +96,6 @@ class IdentificationReport:
     arx: SearchResult
     narx: SearchResult | None
     chosen: str  # "ARX" | "NARX"
-    table: tuple[TableRow, ...]
     lag_spec: LagSpec
     method: ReductionMethod
     timings: dict = field(default_factory=dict)
@@ -109,6 +108,20 @@ class IdentificationReport:
     @property
     def chosen_model(self):
         return self.chosen_stage.model
+
+    @property
+    def table(self) -> tuple[TableRow, ...]:
+        """Per-term metric rows for the chosen stage's winner, in dictionary order."""
+        path = self.chosen_stage.best.path
+        dictionary = self.chosen_stage.dictionary
+        theta = back_substitute(path)
+        rows = [
+            (step.term_index,
+             TableRow(str(dictionary[step.term_index]), step.ms_press, step.err, float(coef)))
+            for step, coef in zip(path.steps, theta)
+        ]
+        rows.sort(key=lambda r: r[0])
+        return tuple(r[1] for r in rows)
 
 
 def overfit_preselect(problem: RegressionProblem, size: int) -> tuple[list[Term], int]:
@@ -184,10 +197,10 @@ def identify(
     chosen = "ARX"
     if spec.degree > 1:
         t0 = time.perf_counter()
-        dictionaries = {
-            "full": expand_dictionary(d_linear, spec.degree, spec.include_constant)
-        }
         searched, sketched = _PLANS[method]
+        dictionaries = {}
+        if "full" in (searched, sketched):
+            dictionaries["full"] = expand_dictionary(d_linear, spec.degree, spec.include_constant)
         if "reduced" in (searched, sketched):
             dictionaries["reduced"] = reduce_dictionary(
                 arx.model.terms, spec.degree, spec.include_constant
@@ -222,7 +235,6 @@ def identify(
         arx=arx,
         narx=narx,
         chosen=chosen,
-        table=_model_table(narx if chosen == "NARX" else arx),
         lag_spec=spec,
         method=method,
         timings=timings,
@@ -248,17 +260,3 @@ def _rejection_note(pool: ModelPool) -> str:
         f"of {len(pool)} candidates, {diverged} diverged under the probe, "
         f"{too_variable} had probe variance above epsilon{tail}"
     )
-
-
-def _model_table(stage: SearchResult) -> tuple[TableRow, ...]:
-    """Per-term metric rows for the stage winner, in dictionary order."""
-    path = stage.best.path
-    dictionary = stage.dictionary
-    theta = back_substitute(path)
-    rows = [
-        (step.term_index,
-         TableRow(str(dictionary[step.term_index]), step.ms_press, step.err, float(coef)))
-        for step, coef in zip(path.steps, theta)
-    ]
-    rows.sort(key=lambda r: r[0])
-    return tuple(r[1] for r in rows)

@@ -200,7 +200,7 @@ def _score_entry(
     msse = float("inf")
     bic = float("inf")
     if verdict.stable:
-        run = simulate_free_run(model, data.u, data.y[: model.max_output_lag])
+        run = simulate_free_run(model, data.u, data.y)
         if not run.diverged:
             err = data.y[problem.offset :] - run.output[problem.offset :]
             msse = float(np.mean(err**2))

@@ -198,11 +198,12 @@ def _compiled_recursion(terms: tuple[Term, ...]):
 def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     """Recursively simulate ``model`` along the input record ``u``.
 
-    The first ``model.max_output_lag`` output samples are copied from
-    ``y_init``; every later sample is computed from the model's own past
-    outputs and the supplied inputs.  Divergence (non-finite value or
-    magnitude beyond ``DIVERGENCE_LIMIT``) stops the recursion and is
-    reported in the result rather than raised.
+    ``y_init`` is the measured output record, or at least its first
+    ``model.max_output_lag`` samples: those are copied, the outputs after
+    them up to the first sample every input lag can read are zero, and
+    every later one is computed from the model's own past outputs and the
+    inputs.  Divergence (non-finite value or magnitude beyond
+    ``DIVERGENCE_LIMIT``) stops the recursion and is reported, not raised.
 
     Once every input lag reads the constant tail of ``u`` and the newest
     sample equals the ``model.max_output_lag`` before it bit for bit, each
@@ -212,9 +213,9 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     u = np.asarray(u, dtype=float)
     n_init, n_in = model.max_output_lag, model.max_input_lag
     y_init = np.asarray(y_init, dtype=float)
-    if len(y_init) != n_init:
+    if len(y_init) < n_init:
         raise InsufficientDataError(
-            f"model needs {n_init} initial output samples, got {len(y_init)}"
+            f"model needs at least {n_init} initial output samples, got {len(y_init)}"
         )
     if len(u) < max(n_init, n_in):
         raise InsufficientDataError("input record shorter than the model's lags")
@@ -223,7 +224,7 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     # scalars (and ** calls the same libm pow), at a fraction of the cost.
     us = u.tolist()
     start = max(n_init, n_in)
-    y = y_init.tolist() + [0.0] * (start - n_init)
+    y = y_init[:n_init].tolist() + [0.0] * (start - n_init)
     settle = max(start, _constant_tail_start(u) + n_in)  # inputs all in the tail
     run = _compiled_recursion(model.terms)
     try:
@@ -269,7 +270,7 @@ def stability_probe(model: Model, epsilon: float = PROBE_EPSILON) -> StabilityVe
     diverged = False
     for level in (0.0, 1.0):
         u = np.full(PROBE_SAMPLES, level)
-        run = simulate_free_run(model, u, np.zeros(model.max_output_lag))
+        run = simulate_free_run(model, u, np.zeros(PROBE_SAMPLES))
         if run.diverged:
             diverged = True
             stats.append((float("nan"), float("nan")))

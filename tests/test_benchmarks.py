@@ -1,5 +1,7 @@
 """Benchmark system and excitation generators."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -128,7 +130,31 @@ class TestPrbs:
     (lambda: Prbs(0), "length must be >= 1"),
     (lambda: Prbs(10, hold=0), "hold must be >= 1"),
     (lambda: generate_signal(object()), "unknown signal spec"),
-], ids=["white-0", "multitone-0", "multitone-period-0", "prbs-0", "prbs-hold-0", "unknown-spec"])
+    (lambda: WhiteNoise(5.5), "length must be an integer"),
+    (lambda: WhiteNoise(True), "length must be an integer"),
+    (lambda: WhiteNoise(10, seed=-1), "seed must be >= 0"),
+    (lambda: WhiteNoise(10, seed=2.5), "seed must be an integer"),
+    (lambda: Multitone(5.0), "length must be an integer"),
+    (lambda: Multitone(10, sample_period=math.nan), "sample_period must be positive and finite"),
+    (lambda: Multitone(10, sample_period=math.inf), "sample_period must be positive and finite"),
+    (lambda: Multitone(10, sample_period="0.1"), "sample_period must be positive and finite"),
+    (lambda: Multitone(10, sample_period=True), "sample_period must be positive and finite"),
+    (lambda: Prbs(10, seed=-1), "seed must be >= 0"),
+    (lambda: Prbs(5, seed=2.5), "seed must be an integer"),
+    (lambda: Prbs(5, hold=True), "hold must be an integer"),
+    (lambda: Prbs(5, hold=2.0), "hold must be an integer"),
+    (lambda: Prbs(10, levels=(1.0,)), "levels must be a pair"),
+    (lambda: Prbs(10, levels=1.0), "levels must be a pair"),
+    (lambda: Prbs(10, levels=(0.0, math.nan)), "levels must be a pair of finite numbers"),
+    (lambda: Prbs(10, levels=(0.0, "1")), "levels must be a pair of finite numbers"),
+], ids=[
+    "white-0", "multitone-0", "multitone-period-0", "prbs-0", "prbs-hold-0", "unknown-spec",
+    "white-float-length", "white-bool-length", "white-negative-seed", "white-float-seed",
+    "multitone-float-length", "multitone-period-nan", "multitone-period-inf",
+    "multitone-period-str", "multitone-period-bool", "prbs-negative-seed", "prbs-float-seed",
+    "prbs-bool-hold", "prbs-float-hold", "prbs-one-level", "prbs-scalar-levels",
+    "prbs-nan-level", "prbs-str-level",
+])
 def test_bad_signal_spec_raises_config_error(make, message):
     with pytest.raises(ConfigError, match=message):
         make()

@@ -69,6 +69,19 @@ class TestSynth:
         assert code == 1
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "dc-motor-white", "--seed", "-1"],
+        ["--case", "dc-motor-prbs", "--seed", "-1"],
+        ["--case", "dc-motor-multitone", "--sample-period", "nan"],
+        ["--case", "dc-motor-multitone", "--sample-period", "inf"],
+    ], ids=["white-negative-seed", "prbs-negative-seed", "multitone-nan", "multitone-inf"])
+    def test_bad_signal_setting_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad.csv"
+        code = main(["synth", *argv, "--n", "100", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_multitone_coarse_sampling_works(self, tmp_path):
         out = tmp_path / "mt.csv"
         code = main([

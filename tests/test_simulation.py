@@ -116,6 +116,25 @@ class TestSimulateFreeRun:
         run = simulate_free_run(m, np.zeros(5), [])
         assert_allclose(run.output, 0.7)
 
+    @pytest.mark.parametrize("terms, coefficients, diverges", [
+        # input lag 3 beyond output lag 1
+        (("y(t-1)", "u(t-3)"), (0.5, 1.0), False),
+        # no output lag: nothing is copied
+        (("u(t-1)", "u(t-2)^2"), (0.5, -0.25), False),
+        # y(t) = 2 y(t-2) + u(t-1) grows past the divergence limit
+        (("y(t-2)", "u(t-1)"), (2.0, 1.0), True),
+    ], ids=["input-lag-beyond-output-lag", "no-output-lag", "diverges"])
+    def test_whole_record_equals_its_prefix(self, terms, coefficients, diverges):
+        # the free run reads only the first max_output_lag samples of y_init
+        model = Model(tuple(parse_term(t) for t in terms), coefficients, bias=0.1)
+        rng = np.random.default_rng(8)
+        u, y = rng.normal(size=300), rng.normal(size=300)
+        whole = simulate_free_run(model, u, y)
+        prefix = simulate_free_run(model, u, y[: model.max_output_lag])
+        assert whole.diverged == diverges
+        assert whole.diverged_at == prefix.diverged_at
+        np.testing.assert_array_equal(whole.output.view(np.int64), prefix.output.view(np.int64))
+
 
 def reference_free_run(model, u, y_init):
     """The plain free-run recursion: numpy float64 scalars, every sample.
