@@ -339,7 +339,8 @@ def _press_path(
             break
 
         rem = np.where(path.available)[0]
-        if rem.size:
+        # after the step that fills max_terms no candidate is read again
+        if rem.size and len(path.steps) < max_terms:
             # BLAS gemv and einsum round a column's sums differently
             # depending on where it sits in the block, so the projections
             # keep their layouts: gemv over the compacted remaining columns
@@ -491,7 +492,9 @@ def _err_path(
         ws = path.take(best, w)
 
         rem = np.where(path.available)[0]
-        if rem.size:
+        # after the step that fills max_terms no candidate is read again,
+        # but the ERR stop below still names the stop reason
+        if rem.size and len(path.steps) < max_terms:
             # candidate c orthogonalized is phi_c - sum_i acc[i, c] w_i, so
             # its product with w is w.phi_c less w's rounding-level products
             # with the earlier columns times acc[:, c]: without that term the

@@ -26,19 +26,29 @@ re-ranks the candidate it already has.  A pruned candidate is keyed by the
 terms it keeps, so winners that prune to the same set share the one
 selected from the first of them (Guo, Guo, Billings & Wei, "An iterative
 orthogonal forward regression algorithm", Int. J. Systems Science 2015).
+
+No k-term candidate can score a BIC below ``bic_of(floor, n, k)``.  Once an
+iteration has scored a selectable candidate, a path that reaches the first
+length whose bound exceeds that BIC cannot win the iteration, so it is cut
+there (see :func:`_length_cap`): it is not built into a model, probed,
+free-run or pooled.  A later iteration that seeds it under a weaker bound
+runs it again.  The choice is the one the uncut search makes, to the bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IdentificationError, SingularityError
-from .ofr import Criterion, SelectionPath, back_substitute, noise_floor, ofr_select
+from .ofr import (
+    Criterion, SelectionPath, back_substitute, default_max_terms, noise_floor, ofr_select,
+)
 from .regression import IoData, RegressionProblem, build_problem, least_squares
 from .simulation import PROBE_EPSILON, Model, StabilityVerdict, simulate_free_run, stability_probe
 from .terms import Dictionary, Term
@@ -54,6 +64,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# A path is cut only where its BIC bound exceeds the iteration's best by more
+# than this many units of roundoff in the magnitudes summed: see _length_cap.
+_BIC_ROUNDING = 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -96,8 +111,9 @@ class PoolEntry:
 
 
 class ModelPool(tuple):
-    """All candidate models examined by a search, stable or not: an
-    immutable tuple of :class:`PoolEntry` in the order they were computed.
+    """All candidate models scored by a search, stable or not: an immutable
+    tuple of :class:`PoolEntry` in the order their paths were first run.
+    Paths cut at the BIC bound are not candidates.
 
     Unstable entries are retained for reporting but never selected.
     """
@@ -113,6 +129,9 @@ class SearchResult:
     """Outcome of :func:`iterative_ofr`.
 
     The pool's paths index into ``dictionary``, the one the search ran over.
+    ``n_evaluations`` sums the candidates evaluated by every path the search
+    ran, cut, run again or pruned; ``n_cut`` counts the runs cut at the BIC
+    bound.
     """
 
     dictionary: Dictionary
@@ -122,6 +141,7 @@ class SearchResult:
     n_evaluations: int
     converged: bool
     iteration_bics: tuple[float, ...]
+    n_cut: int = 0
 
     @property
     def model(self) -> Model:
@@ -278,6 +298,35 @@ def _rank(entry: PoolEntry) -> tuple[float, int]:
     return entry.bic, entry.model.n_terms
 
 
+def _length_cap(best: float, msse_floor: float, n: int) -> int | None:
+    """The fewest path steps at which no candidate can score a BIC at or
+    below ``best`` on ``n`` rows: one more than the largest ``k`` with
+    ``bic_of(msse_floor, n, k)`` within rounding of ``best``.  None when
+    every ``k`` below ``n`` qualifies.
+
+    A ``k``-step candidate's BIC is ``bic_of`` of an error clamped to at
+    least ``msse_floor``, so exactly it is at least ``bic_of(msse_floor, n,
+    k)``.  Computed, the two can differ by the roundings of the logarithm,
+    the product and the sum: a few units of roundoff in ``n |ln floor|`` and
+    in the BIC.  A length is kept unless its bound exceeds ``best`` by
+    ``_BIC_ROUNDING`` such units, so a cut never rests on ``np.log`` being
+    monotone to the last bit.  ``k`` is found in closed form and corrected
+    by exact ``bic_of`` checks: on noisy records the bound admits hundreds
+    of lengths, too many to scan.
+    """
+    log_floor = float(np.log(msse_floor + 1e-300))
+    slack = _BIC_ROUNDING * np.finfo(float).eps * (n * abs(log_floor) + abs(best))
+    limit = best + slack
+    k = math.floor((limit - n * log_floor) / math.log(n))
+    while k + 1 < n and bic_of(msse_floor, n, k + 1) <= limit:
+        k += 1
+    if k + 1 >= n:
+        return None
+    while bic_of(msse_floor, n, k) > limit:
+        k -= 1
+    return k + 1
+
+
 def iterative_ofr(
     dictionary: Dictionary,
     preselect: Sequence[Term] | None,
@@ -293,6 +342,9 @@ def iterative_ofr(
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
     msse_floor = noise_floor(problem.target)
+    n = problem.n_rows
+    # the length cap ofr_select applies when it is given none
+    max_terms = cfg.max_terms or default_max_terms(len(dictionary), n)
     try:
         # dictionary indices of the seed terms, in first-seen order
         seeds = (
@@ -302,29 +354,52 @@ def iterative_ofr(
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
     # The candidate table: forced-first index -> its entry (None: empty
-    # path), the sorted columns a pruned winner keeps -> its pruned entry.
-    # Its entries, in the order they were computed, are the pool.
-    table: dict[int | tuple[int, ...], PoolEntry | None] = {}
+    # path; an int: the path was cut at the BIC bound after that many
+    # steps), the sorted columns a pruned winner keeps -> its pruned entry.
+    # Its entries, in the order their keys were first run, are the pool.
+    table: dict[int | tuple[int, ...], PoolEntry | int | None] = {}
     winners: list[PoolEntry] = []
     converged = False
+    n_evaluations = n_cut = 0
 
     for iterations in range(1, cfg.max_iterations + 1):
+        # best: the lowest BIC among this iteration's selectable entries so
+        # far; cap: the path length at which a path cannot beat it
+        best, cap = math.inf, None
+        n_run, cut_before = 0, n_cut
         for index in seeds:
-            if index not in table:
+            entry = table.get(index)
+            # run a path not run yet, or one cut under a stronger bound
+            if index not in table or (
+                isinstance(entry, int) and (cap is None or cap > entry)
+            ):
                 path = ofr_select(
                     problem,
                     criterion=cfg.criterion,
                     forced_first=index,
-                    max_terms=cfg.max_terms,
+                    max_terms=cfg.max_terms if cap is None else min(max_terms, cap),
                 )
-                table[index] = _score_entry(
-                    path, data, problem, cfg, msse_floor, data_hash
-                )
+                n_run += 1
+                n_evaluations += path.n_evaluated
+                if cap is not None and len(path.steps) >= cap:
+                    entry = len(path.steps)
+                    n_cut += 1
+                else:
+                    entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
+                table[index] = entry
+            if isinstance(entry, PoolEntry) and entry.selectable and entry.bic < best:
+                best = entry.bic
+                cap = _length_cap(best, msse_floor, n)
+        logger.debug(
+            "iteration %d: %d paths run, %d cut, k_cap %s",
+            iterations, n_run, n_cut - cut_before, None if cap is None else cap - 1,
+        )
         ranked = [
-            e for e in (table[i] for i in seeds) if e is not None and e.selectable
+            e for e in (table[i] for i in seeds)
+            if isinstance(e, PoolEntry) and e.selectable
         ]
         if not ranked:
-            logger.debug("iteration %d produced no stable model", iterations - 1)
+            logger.debug("iteration %d produced no stable model", iterations)
             break
         winner = min(ranked, key=_rank)
 
@@ -333,6 +408,7 @@ def iterative_ofr(
             if columns is not None:
                 if columns not in table:
                     pruned = _exact_fit_prune(problem, winner.path, columns, cfg.criterion)
+                    n_evaluations += pruned.n_evaluated
                     table[columns] = _score_entry(
                         pruned, data, problem, cfg, msse_floor, data_hash
                     )
@@ -347,19 +423,18 @@ def iterative_ofr(
             break
         seeds = winner.path.term_indices
 
-    pool = ModelPool(e for e in table.values() if e is not None)
+    pool = ModelPool(e for e in table.values() if isinstance(e, PoolEntry))
     if not winners:
         raise IdentificationError(
             "no stable candidate model in any iteration", pool=pool
         )
-    # an empty forced path evaluates nothing (its first step stops before
-    # any scoring), so the pool's paths hold every evaluation made
     return SearchResult(
         dictionary,
         pool,
         min(winners, key=_rank),
         iterations,
-        sum(e.path.n_evaluated for e in pool),
+        n_evaluations,
         converged,
         tuple(w.bic for w in winners),
+        n_cut,
     )

@@ -750,6 +750,23 @@ class TestOfrMatchesReference:
                 ofr_select(problem, criterion, forced_first=first, max_terms=n_cols)
             )
 
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_capped_path_is_the_uncapped_path_cut_short(self, criterion):
+        # the search's BIC bound runs paths under a lower max_terms and
+        # scores those that end before it as the uncapped paths; the step
+        # that fills max_terms skips the candidate update
+        problem = noise_free_cubic_problem()
+        for first in range(problem.phi.shape[1]):
+            full = ofr_select(problem, criterion, forced_first=first)
+            steps, _, triangular = path_bits(full)[:3]
+            k = len(full.steps)
+            for cap in range(1, k + 1):
+                capped = path_bits(
+                    ofr_select(problem, criterion, forced_first=first, max_terms=cap)
+                )
+                assert capped[0] == steps[:cap]
+                assert capped[2] == [row[:cap] for row in triangular[:cap]]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_press_without_first_increase_stop(self, seed):
         rng = np.random.default_rng(50 + seed)

@@ -1,6 +1,8 @@
 """Iterative multi-path search: stability screening, BIC choice, convergence."""
 
 import functools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from narxid.ofr import noise_floor
 from narxid.search import (
     _exact_fit_columns,
     _exact_fit_prune,
+    _length_cap,
     _score_entry,
     data_fingerprint,
 )
@@ -329,10 +332,14 @@ class TestExactFitPruning:
         assert not any(pruned(e) for e in result.pool)
 
 
-def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
-    """The search loop without reuse: every seed's path, probe and free run
-    are computed again in every iteration that seeds it, and every result is
-    pooled.  ``iterative_ofr`` must choose exactly what this loop chooses.
+def reference_iterative_ofr(
+    dictionary, preselect, data, cfg=SearchConfig(), pool_iterations=None
+):
+    """The search loop without reuse or BIC bound: every seed's path, probe
+    and free run are computed again in every iteration that seeds it, and
+    every result is pooled.  ``iterative_ofr`` must choose exactly what this
+    loop chooses.  A ``pool_iterations`` list receives the (0-based)
+    iteration of each pool entry.
     """
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
@@ -370,6 +377,8 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
             if entry is None:
                 continue
             pool.append(entry)
+            if pool_iterations is not None:
+                pool_iterations.append(iteration)
             if not entry.selectable:
                 continue
             key = (entry.bic, entry.model.n_terms, order)
@@ -391,6 +400,8 @@ def reference_iterative_ofr(dictionary, preselect, data, cfg=SearchConfig()):
                 )
                 if entry is not None:
                     pool.append(entry)
+                    if pool_iterations is not None:
+                        pool_iterations.append(iteration)
                     if entry.selectable and entry.bic <= iteration_best.bic:
                         iteration_best = entry
                         iteration_best_key = (
@@ -468,7 +479,14 @@ SEARCH_CASES = {
     "dc-prbs": (_dc_prbs, None, SearchConfig()),
     "linear": (_linear, None, SearchConfig()),
     "multitone-pruned": (_multitone, None, SearchConfig()),
+    # the path seeded by u(t-1)^2 (11 steps) wins iteration 1 and prunes to
+    # a set without its seed, led by y(t-1); iteration 1 cut the paths of
+    # y(t-1) and y(t-2) (12 steps each), and iteration 2 runs them again:
+    # y(t-1) under no bound yet, y(t-2) under the weaker bound y(t-1) sets
+    "rerun": (_multitone, [11, 0, 1], SearchConfig()),
     "zero-input": (_zero_input, None, SearchConfig()),
+    # the bound caps paths below a max_terms far above the dictionary size
+    "huge-max-terms": (_dc_white, None, SearchConfig(max_terms=10**9)),
     # with these seeds the winner changes once more: three iterations
     "preselect": (_dc_white_noisy, [6, 0, 3, 11, 1], SearchConfig()),
     "preselect-one": (_dc_white_noisy, [12], SearchConfig()),
@@ -489,39 +507,65 @@ def bits(model):
 
 
 def path_key(entry):
+    """What makes two pool entries repeats: a path's steps and stop reason,
+    or, for a pruned entry, the set it keeps (winners that prune to one set
+    share the entry of the first)."""
+    if pruned(entry):
+        return tuple(sorted(entry.path.term_indices))
     return entry.path.term_indices, entry.path.stop_reason
+
+
+def assert_matches_reference(dictionary, preselect, data, cfg):
+    """``iterative_ofr`` chooses what the reference loop chooses, and pools
+    what it pools, repeats dropped, less the paths its BIC bound cut."""
+    ours = iterative_ofr(dictionary, preselect, data, cfg)
+    pool_iterations = []
+    ref = reference_iterative_ofr(dictionary, preselect, data, cfg, pool_iterations)
+    assert ours.best.model.terms == ref.best.model.terms
+    assert bits(ours.best.model) == bits(ref.best.model)
+    assert ours.best.msse == ref.best.msse
+    assert ours.best.bic == ref.best.bic
+    assert ours.iteration_bics == ref.iteration_bics
+    assert ours.iterations == ref.iterations
+    assert ours.converged == ref.converged
+    assert ours.best.path.stop_reason == ref.best.path.stop_reason
+    # the pool is a subsequence of the reference pool with repeats dropped
+    first_seen = {}
+    for entry in ref.pool:
+        first_seen.setdefault(path_key(entry), entry)
+    keys = [path_key(e) for e in ours.pool]
+    remaining = iter(first_seen)
+    assert all(key in remaining for key in keys)
+    assert [e.model for e in ours.pool] == [first_seen[k].model for k in keys]
+    # and what it dropped was cut: in every iteration that seeded it, it is
+    # longer than the bound its iteration's winner allows, and scores worse
+    problem = build_problem(data, dictionary)
+    floor = noise_floor(problem.target)
+    dropped = set(first_seen) - set(keys)
+    for entry, iteration in zip(ref.pool, pool_iterations):
+        if path_key(entry) in dropped:
+            winner_bic = ref.iteration_bics[iteration]
+            cap = _length_cap(winner_bic, floor, problem.n_rows)
+            assert cap is not None and len(entry.path.steps) >= cap
+            assert entry.bic > winner_bic
+    assert ours.n_evaluations <= ref.n_evaluations
+    return ours
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
 class TestSearchReuse:
-    """Each candidate is computed once per search, and the choice is the
-    one the loop without reuse makes."""
+    """Each candidate is computed once per search unless the BIC bound cut
+    its path, and the choice is the one the loop without reuse makes."""
 
     def test_matches_reference_loop(self, name):
-        ours = run_case(name, iterative_ofr)
-        ref = run_case(name, reference_iterative_ofr)
-        assert ours.best.model.terms == ref.best.model.terms
-        assert bits(ours.best.model) == bits(ref.best.model)
-        assert ours.best.msse == ref.best.msse
-        assert ours.best.bic == ref.best.bic
-        assert ours.iteration_bics == ref.iteration_bics
-        assert ours.iterations == ref.iterations
-        assert ours.converged == ref.converged
-        assert ours.best.path.stop_reason == ref.best.path.stop_reason
-        # the pool is the reference pool with repeats dropped
-        first_seen = {}
-        for entry in ref.pool:
-            first_seen.setdefault(path_key(entry), entry)
-        assert [path_key(e) for e in ours.pool] == list(first_seen)
-        assert [e.model for e in ours.pool] == [e.model for e in first_seen.values()]
-        assert ours.n_evaluations <= ref.n_evaluations
+        run_case(name, assert_matches_reference)
 
     def test_each_path_and_probe_once(self, name, monkeypatch):
         calls, probes = [], []
 
         def counting_select(problem, *args, **kwargs):
             path = ofr_select(problem, *args, **kwargs)
-            calls.append(((problem.dictionary.terms, kwargs["forced_first"]), path))
+            calls.append(((problem.dictionary.terms, kwargs["forced_first"]), kwargs, path))
             return path
 
         def counting_probe(model, *args, **kwargs):
@@ -531,7 +575,114 @@ class TestSearchReuse:
         monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
         monkeypatch.setattr(narxid.search, "stability_probe", counting_probe)
         result = run_case(name, iterative_ofr)
-        keys = [key for key, _ in calls]
-        assert len(keys) == len(set(keys))
+        # a cut path is a forced-first path (pruned re-selections pass stop)
+        # with steps that no pool entry holds; it reached the cap it ran under
+        pooled = {id(e.path) for e in result.pool}
+        cut = {
+            id(path) for _, kwargs, path in calls
+            if "stop" not in kwargs and path.steps and id(path) not in pooled
+        }
+        runs = {}
+        for key, kwargs, path in calls:
+            runs.setdefault(key, []).append(path)
+            if id(path) in cut:
+                assert len(path.steps) == kwargs["max_terms"]
+        # a path runs again only if its earlier runs were cut
+        for paths in runs.values():
+            assert all(id(p) in cut for p in paths[:-1])
+        assert result.n_cut == len(cut)
         assert len(probes) == len(result.pool)
-        assert result.n_evaluations == sum(path.n_evaluated for _, path in calls)
+        assert result.n_evaluations == sum(path.n_evaluated for _, _, path in calls)
+
+
+@st.composite
+def noise_free_searches(draw):
+    """A noise-free DC-motor record and a preselect order of the full
+    dictionary: a random subset of its terms, in random order."""
+    n = draw(st.integers(80, 200))
+    seed = draw(st.integers(0, 2**16))
+    order = draw(st.permutations(range(14)))
+    size = draw(st.integers(1, 14))
+    criterion = draw(st.sampled_from(list(Criterion)))
+    try:
+        data = benchmark_data(n=n, seed=seed)
+    except DivergenceError:
+        assume(False)
+    return data, order[:size], SearchConfig(criterion=criterion)
+
+
+class TestBicBound:
+    """Paths that cannot beat their iteration's best BIC are cut, and the
+    choice stays the one the search without the bound makes."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(noise_free_searches())
+    def test_random_preselect_orders_match_the_reference(self, search):
+        data, order, cfg = search
+        d = full_dictionary()
+        assert_matches_reference(d, [d[i] for i in order], data, cfg)
+
+    def test_cut_path_runs_again_under_a_weaker_bound(self, monkeypatch):
+        runs = []
+
+        def counting_select(problem, *args, **kwargs):
+            path = ofr_select(problem, *args, **kwargs)
+            runs.append((kwargs["forced_first"], kwargs.get("max_terms"), len(path.steps)))
+            return path
+
+        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+        result = run_case("rerun", iterative_ofr)
+        # iteration 1: u(t-1)^2 scores 11 steps, so y(t-1) and y(t-2) are
+        # cut at 12; iteration 2 seeds y(t-1) first and runs it under no
+        # bound, then y(t-2) under the cap of y(t-1)'s 12 steps
+        assert runs[:3] == [(11, None, 11), (0, 12, 12), (1, 12, 12)]
+        assert runs[4:6] == [(0, None, 12), (1, 13, 12)]
+        assert result.n_cut == 2
+        # the entries of the second runs take the places of the first
+        assert [e.path.term_indices[0] for e in result.pool[:3]] == [11, 0, 1]
+
+    def test_huge_max_terms_cuts_like_the_default(self):
+        huge = run_case("huge-max-terms", iterative_ofr)
+        default = run_case("dc-white", iterative_ofr)
+        assert huge.n_cut == default.n_cut > 0
+        assert huge.n_evaluations == default.n_evaluations
+        assert [path_key(e) for e in huge.pool] == [path_key(e) for e in default.pool]
+        assert bits(huge.model) == bits(default.model)
+
+    @pytest.mark.parametrize("name, cuts", [
+        ("dc-white", True), ("dc-prbs", True), ("zero-input", True),
+        ("dc-white-noisy", False), ("linear", False), ("dc-white-err", False),
+    ])
+    def test_only_near_exact_records_are_cut(self, name, cuts):
+        assert (run_case(name, iterative_ofr).n_cut > 0) == cuts
+
+    def test_each_iteration_logs_its_paths_and_cuts(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="narxid.search"):
+            result = run_case("dc-white", iterative_ofr)
+        lines = [r.getMessage() for r in caplog.records if r.name == "narxid.search"]
+        first = re.fullmatch(r"iteration 1: (\d+) paths run, (\d+) cut, k_cap (\d+)", lines[0])
+        assert first and int(first[1]) == len(full_dictionary())
+        # the two iterations' cuts add up to the result's
+        cuts = [int(m[1]) for m in (re.search(r"(\d+) cut", line) for line in lines) if m]
+        assert sum(cuts) == result.n_cut
+
+    @pytest.mark.parametrize("n", [60, 496, 20_000])
+    @pytest.mark.parametrize("floor", [1e-30, 1e-24, 1.0, 1e6])
+    def test_length_cap_is_the_first_length_that_cannot_win(self, n, floor):
+        # best: a k_best-term candidate with msse a factor e^(excess / n)
+        # above the floor, as _score_entry computes it
+        for k_best in (1, 9, 30):
+            for excess in (0.0, 1e-9, 0.5, 3.0, 1e4):
+                best = bic_of(floor * np.exp(excess / n), n, k_best)
+                cap = _length_cap(best, floor, n)
+                if cap is None:
+                    # every length below n is within rounding of best
+                    assert bic_of(floor, n, n - 1) <= best + 1e-6 * abs(best)
+                    continue
+                assert k_best < cap < n
+                assert bic_of(floor, n, cap) > best
+                assert bic_of(floor, n, cap - 1) <= best + 1e-9 * (abs(best) + 1.0)
+            # a length whose bound is above best by rounding only is kept
+            edge = np.nextafter(bic_of(floor, n, k_best), -np.inf)
+            cap = _length_cap(edge, floor, n)
+            assert cap is None or cap > k_best
