@@ -5,29 +5,27 @@ as if orthogonalized against the already-selected terms, either by the
 mean-squared PRESS statistic (leave-one-out one-step error, minimized) or by
 the error reduction ratio (ERR, maximized).  The first term of the path can
 be forced, which is how multi-path searches enumerate orthogonalization
-paths.  Each criterion has its own kernel behind :func:`ofr_select`:
+paths.
 
-- PRESS needs every row's leverage, so its kernel keeps the candidates
-  orthogonalized in place (modified Gram-Schmidt, maintained incrementally
-  across the whole candidate set).  On large blocks it scores only the
-  candidates that can still win the step: a candidate's residual sum of
-  squares is a lower bound on n times its PRESS, from the projections the
-  step computes anyway (the PRESS-driven OFR of Chen, Hong, Harris &
-  Sharkey, IEEE Trans. SMC-B 34, 2004).
-- ERR needs only inner products, so its kernel keeps each candidate's
-  orthogonalized squared norm and projection on the target, downdated after
-  every step from one product of the new orthogonal column with phi
-  (Korenberg, Biol. Cybern. 60, 1989; Chen, Billings & Luo, Int. J. Control
-  50, 1989).
-
-Both kernels take a column through the same step, which records both
-metrics whichever one drives the selection, along with the unit
-upper-triangular factors needed to recover coefficients in the original
-basis.
+Both criteria run one loop, which never orthogonalizes the candidate block.
+It keeps each candidate's orthogonalized squared norm and projection on the
+target, downdated after every step from one product of the new orthogonal
+column with phi (Korenberg, Biol. Cybern. 60, 1989; Chen, Billings & Luo,
+Int. J. Control 50, 1989).  ERR scores from those alone.  PRESS needs every
+row's leverage, but a candidate's residual sum of squares, which the
+downdated values give at O(1), is a lower bound on n times its PRESS, so a
+PRESS step forms explicit columns only for the candidates that can still
+win it (the PRESS-driven OFR of Chen, Hong, Harris & Sharkey, IEEE Trans.
+SMC-B 34, 2004; Li, Peng & Irwin, IEEE Trans. Autom. Control 50, 2005).
+The selected column is formed explicitly and taken through one step, which
+records both metrics whichever one drives the selection, along with the
+unit upper-triangular factors needed to recover coefficients in the
+original basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -64,14 +62,18 @@ MSSE_FLOOR_REL = 1e-24
 # more than this factor relative to the source column.
 _REORTH_RATIO = 1e4
 
+_EPS = float(np.finfo(float).eps)
+
 # A PRESS step bounds its candidates' PRESS before scoring them only when
-# the scoring block holds at least this many elements (rows x candidates):
-# below it the bound's extra numpy calls cost more than the PRESS arithmetic
-# it saves.  Timed per step on DC-motor records (2-core x86-64, OpenBLAS),
-# plain scoring took 0.4-0.8 times as long as bounded scoring on blocks
-# under 2**13 elements, 0.9 times between 2**13 and 2**14, and 1.1-6.8
-# times from 2**14 up.  See _press_scores.
-_BOUND_MIN_BLOCK = 2**14
+# the scoring block holds at least this many elements (rows x usable
+# candidates): below it the bound's extra numpy calls cost more than the
+# explicit columns it saves.  Timed over every forced-first path of
+# LagSpec(2, 2, 2) DC-motor records (2-core x86-64, OpenBLAS, one thread),
+# scoring every candidate in one call took 0.77 times as long as bounded
+# scoring on 58-row records (blocks under 2**10 elements), 0.85 on 98 rows,
+# 0.96 on 158 rows, 1.01 on 248 rows and 1.14 on 398-row PRBS records (up
+# to 2**12.4 elements).  See _press_scores.
+_BOUND_MIN_BLOCK = 2**12
 
 
 class Criterion(Enum):
@@ -199,31 +201,98 @@ def ofr_select(
     criterion.  Candidates whose orthogonalized squared norm falls below
     ``RANK_TOL`` times the original are dropped as dependent; PRESS
     candidates whose leverage trips the guard are rejected for that step.
-    Ties break toward the lowest dictionary index.  With ``stop`` set, an
-    ERR path ends once its cumulative ERR reaches ``ERR_TOTAL``, and a PRESS
-    path at the first PRESS increase (``"PRESS increase"``) or right after
-    the step whose PRESS reaches :func:`noise_floor` (``"PRESS floor"``:
-    every later score would be rounding noise); running out of candidates,
-    the leverage guard and the ``max_terms`` cap end a path either way.  The
-    reason is recorded.  A zero target raises :class:`DataError`: every
-    ERR divides by its energy.
+    Ties break toward the lowest dictionary index, and so does a choice
+    between columns equal bit for bit.  With ``stop`` set, an ERR path ends
+    once its cumulative ERR reaches ``ERR_TOTAL``, and a PRESS path at the
+    first PRESS increase (``"PRESS increase"``) or right after the step
+    whose PRESS reaches :func:`noise_floor` (``"PRESS floor"``: every later
+    score would be rounding noise); running out of candidates, the leverage
+    guard and the ``max_terms`` cap end a path either way.  The reason is
+    recorded.  ``n_evaluated`` counts every usable candidate a step
+    considers, whether the residual bound ruled it out or it was scored in
+    full.  A zero target raises :class:`DataError`: every ERR divides by
+    its energy.
     """
-    n_rows, n_cols = problem.phi.shape
+    phi = problem.phi
+    n_rows, n_cols = phi.shape
     if max_terms is None:
         max_terms = default_max_terms(n_cols, n_rows)
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if forced_first is not None and not (0 <= forced_first < n_cols):
         raise ValueError(f"forced_first index {forced_first} out of range")
-    kernel = _err_path if criterion is Criterion.ERR else _press_path
-    return kernel(problem, forced_first, max_terms, stop)
+    press = criterion is Criterion.PRESS
+    path = _Path(problem, max_terms)
+    cand_ss = path.orig_ss.copy()
+    cand_proj = problem.target @ phi
+    floor = noise_floor(problem.target)
+    n_evaluated = 0
+    stop_reason = "max_terms"
+
+    while len(path.steps) < max_terms:
+        usable = path.available & (cand_ss > path.rank_floor)
+        idx = np.where(usable)[0]
+        if not idx.size:
+            stop_reason = "no usable candidates (rank tolerance)"
+            break
+
+        if not path.steps and forced_first is not None:
+            if not usable[forced_first]:
+                stop_reason = "forced first term is rank-deficient"
+                break
+            best = forced_first
+        else:
+            n_evaluated += len(idx)
+            if press:
+                scores = _press_scores(path, phi, idx, cand_ss[idx], cand_proj[idx])
+                j = int(scores.argmin())
+                if scores[j] == np.inf:
+                    stop_reason = "all candidates leverage-rejected"
+                    break
+                if stop and path.steps and scores[j] > path.steps[-1].ms_press:
+                    stop_reason = "PRESS increase"
+                    break
+            else:
+                j = int(np.argmax(cand_proj[idx] ** 2 / (cand_ss[idx] * path.yy)))
+            # columns equal bit for bit score differently in the last bits
+            # (a BLAS product rounds a column by where it sits in phi), so
+            # the lowest index is taken as for any other tie
+            best = int(idx[j])
+            if usable[problem.first_twins[best]]:
+                best = int(problem.first_twins[best])
+
+        k = len(path.steps)
+        w = phi[:, best] - path.acc[:k, best] @ path.w_rows[:k]
+        ws, wy = path.take(best, w)
+        if stop and press and path.steps[-1].ms_press <= floor:
+            stop_reason = "PRESS floor"
+            break
+        if stop and not press and sum(s.err for s in path.steps) >= ERR_TOTAL:
+            stop_reason = "cumulative ERR threshold"
+            break
+
+        # after the step that fills max_terms no candidate is read again
+        if len(path.steps) < max_terms:
+            # candidate c orthogonalized is phi_c - sum_i acc[i, c] w_i, so
+            # its product with w is w.phi_c less w's rounding-level products
+            # with the earlier columns times acc[:, c]: without that term the
+            # downdates pick up errors of phi's scale on ill-conditioned
+            # dictionaries.  Selected columns get a zero coefficient, which
+            # keeps the record triangular; their norms are never read again.
+            d = w @ phi - (path.w_rows[:k] @ w) @ path.acc[:k]
+            coeffs = np.where(path.available, d / ws, 0.0)
+            path.acc[k] = coeffs
+            cand_ss -= coeffs * d
+            cand_proj -= coeffs * wy
+
+    return path.finish(stop_reason, n_evaluated)
 
 
 class _Path:
-    """What a path records as it takes columns, whichever kernel scores them:
-    the orthogonal columns, the residual and leverage of the fit so far, the
-    steps, and ``acc[i, c]``, the coefficient of the i-th orthogonal column
-    in the expansion of candidate column c (the triangular record)."""
+    """What a path records as it takes columns: the orthogonal columns, the
+    residual and leverage of the fit so far, the steps, and ``acc[i, c]``,
+    the coefficient of the i-th orthogonal column in the expansion of
+    candidate column c (the triangular record)."""
 
     def __init__(self, problem: RegressionProblem, max_terms: int):
         phi = problem.phi
@@ -233,6 +302,8 @@ class _Path:
         if self.yy == 0.0:
             raise DataError("target is zero; its ERR is undefined")
         self.orig_ss = np.einsum("ij,ij->j", phi, phi)
+        self.orig_norm = np.sqrt(self.orig_ss)
+        self.rank_floor = RANK_TOL * self.orig_ss
         # a path selects at most n_cols terms, whatever max_terms says
         k_max = min(max_terms, n_cols)
         self.w_rows = np.empty((k_max, n_rows))  # orthogonal column i in row i
@@ -243,8 +314,9 @@ class _Path:
         self.available = np.ones(n_cols, dtype=bool)
         self.steps: list[PathStep] = []
 
-    def take(self, best: int, w: np.ndarray) -> float:
-        """Select column ``best``, orthogonalized as ``w``; returns w.w.
+    def take(self, best: int, w: np.ndarray) -> tuple[float, float]:
+        """Select column ``best``, orthogonalized as ``w``; returns w.w and
+        w.y.
 
         When the norm has collapsed, ``w`` gets one re-orthogonalization
         pass, in place, with the corrections folded into the record.
@@ -259,12 +331,14 @@ class _Path:
             ws = float(w @ w)
 
         g = float(self.resid @ w) / ws
-        err = float(w @ self.target) ** 2 / (ws * self.yy)
+        wy = float(w @ self.target)
+        err = wy**2 / (ws * self.yy)
         self.resid = self.resid - g * w
         self.leverage = self.leverage + w**2 / ws
         denom = 1.0 - self.leverage
-        if np.all(denom >= LEVERAGE_GUARD):
-            ms_press = float(np.mean((self.resid / denom) ** 2))
+        if np.minimum.reduce(denom) >= LEVERAGE_GUARD:
+            # np.mean's bits, without its wrapper
+            ms_press = float(np.add.reduce((self.resid / denom) ** 2)) / denom.size
         else:
             ms_press = float("inf")
 
@@ -272,7 +346,7 @@ class _Path:
         self.w_ss.append(ws)
         self.steps.append(PathStep(best, err, ms_press, g))
         self.available[best] = False
-        return ws
+        return ws, wy
 
     def finish(self, stop_reason: str, n_evaluated: int) -> SelectionPath:
         steps = self.steps
@@ -284,230 +358,109 @@ class _Path:
         return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)
 
 
-def _press_path(
-    problem: RegressionProblem, forced_first: int | None, max_terms: int, stop: bool
-) -> SelectionPath:
-    """PRESS selection: every row's leverage counts, so the candidates are
-    orthogonalized in place (modified Gram-Schmidt) and scored at n x M.
-
-    Each step forms the candidates' squared norms, gathers the usable ones
-    and projects the residual on them; :func:`_press_scores` then scores in
-    full only the candidates whose residual bound does not rule them out,
-    with the same bits as scoring all of them.  ``n_evaluated`` counts every
-    usable candidate a step considers, whether the bound ruled it out or it
-    was scored in full.
-    """
-    path = _Path(problem, max_terms)
-    work = problem.phi.astype(float, copy=True)
-    n_rows, n_cols = work.shape
-    # n x M floats for one step's PRESS numerators, then for its update
-    scratch = np.empty(n_rows * n_cols)
-    floor = noise_floor(problem.target)
-    n_evaluated = 0
-    stop_reason = "max_terms"
-
-    while len(path.steps) < max_terms:
-        cand_ss = np.einsum("ij,ij->j", work, work)
-        usable = path.available & (cand_ss > RANK_TOL * path.orig_ss)
-        if not usable.any():
-            stop_reason = "no usable candidates (rank tolerance)"
-            break
-
-        if not path.steps and forced_first is not None:
-            if not usable[forced_first]:
-                stop_reason = "forced first term is rank-deficient"
-                break
-            best = forced_first
-        else:
-            idx = np.where(usable)[0]
-            n_evaluated += len(idx)
-            press = _press_scores(work[:, idx], cand_ss[idx], path, scratch)
-            if not np.isfinite(press).any():
-                stop_reason = "all candidates leverage-rejected"
-                break
-            j = int(np.argmin(press))
-            if stop and path.steps and press[j] > path.steps[-1].ms_press:
-                stop_reason = "PRESS increase"
-                break
-            best = int(idx[j])
-
-        k = len(path.steps)
-        w = work[:, best].copy()
-        ws = path.take(best, w)
-        if stop and path.steps[-1].ms_press <= floor:
-            stop_reason = "PRESS floor"
-            break
-
-        rem = np.where(path.available)[0]
-        # after the step that fills max_terms no candidate is read again
-        if rem.size and len(path.steps) < max_terms:
-            # BLAS gemv and einsum round a column's sums differently
-            # depending on where it sits in the block, so the projections
-            # keep their layouts: gemv over the compacted remaining columns
-            # here, einsum over the full block and scoring over the
-            # compacted usable columns above.  The multiply-subtract is
-            # elementwise, with the same bits wherever a column sits, so it
-            # runs in place over the full block: row acc[k] is zero outside
-            # rem, and the selected columns, which lose a zero multiple of
-            # w, are never read again.
-            path.acc[k, rem] = (w @ work[:, rem]) / ws
-            work -= np.multiply(w[:, None], path.acc[k], out=scratch.reshape(work.shape))
-
-    return path.finish(stop_reason, n_evaluated)
-
-
 def _press_scores(
-    wm: np.ndarray, ssm: np.ndarray, path: _Path, scratch: np.ndarray
+    path: _Path, phi: np.ndarray, idx: np.ndarray, ss: np.ndarray, proj: np.ndarray
 ) -> np.ndarray:
-    """Mean-squared PRESS of each candidate column of ``wm``, or ``inf`` for
-    a candidate the leverage guard rejects or the residual bound rules out.
+    """Mean-squared PRESS of each candidate column ``idx``, or ``inf`` for a
+    candidate the leverage guard rejects or the residual bound rules out.
 
-    ``wm`` is the step's ``work[:, idx]`` gather (overwritten) and ``ssm``
-    the candidates' squared norms.  Every ``1 - h(t)`` is at most 1, so
-    ``n * PRESS_j >= rr - (r.w_j)^2 / (w_j.w_j)``, the candidate's residual
-    sum of squares.  On a block of at least ``_BOUND_MIN_BLOCK`` elements
-    the candidate with the lowest bound is scored first, and only the
-    candidates whose bound is within rounding of ``n`` times its PRESS are
-    scored after it: no other can have a PRESS at or below it, so the step's
-    minimum, its lowest-index tie and the stop tests are unchanged.
+    ``ss`` and ``proj`` are the candidates' downdated squared norms and
+    projections on the target.  Every ``1 - h(t)`` is at most 1, so ``n *
+    PRESS_j >= rr - proj_j^2 / ss_j``, the candidate's residual sum of
+    squares, at O(1) per candidate.  On a block of at least
+    ``_BOUND_MIN_BLOCK`` elements the candidate with the lowest bound is
+    scored first, and only the candidates whose bound is within rounding of
+    ``n`` times its PRESS are scored after it: no other can have a PRESS at
+    or below it, so the step's minimum, its lowest-index tie and the stop
+    tests are those of scoring every candidate.
     """
-    resid = path.resid
-    proj = resid @ wm
-    g = proj / ssm
-    one_minus_lev = 1.0 - path.leverage
-    if wm.size < _BOUND_MIN_BLOCK:
-        return _score_press(wm, g, ssm, resid, one_minus_lev, scratch)
-
+    g = proj / ss
+    if phi.shape[0] * idx.size < _BOUND_MIN_BLOCK:
+        return _score_press(path, phi, idx, g, ss)
     # einsum, not a BLAS dot: a threaded ddot on a long record can wait
     # milliseconds for its threads, and rr only decides which candidates
     # are scored, never a score
-    rr = float(np.einsum("i,i->", resid, resid))
+    rr = float(np.einsum("i,i->", path.resid, path.resid))
     bound = rr - proj * g
-    j0 = int(np.argmin(bound))
-    p0 = _score_press(wm[:, [j0]], g[[j0]], ssm[[j0]], resid, one_minus_lev, scratch)[0]
-    # if that candidate is rejected, p0 is inf and every column is scored
-    keep = bound <= _bound_threshold(wm.shape[0], p0, rr)
+    j0 = int(bound.argmin())
+    press = np.full(idx.size, np.inf)
+    press[j0] = _score_press(path, phi, idx[j0 : j0 + 1], g[j0 : j0 + 1], ss[j0 : j0 + 1])[0]
+    # if that candidate is rejected, its PRESS is inf and every column is scored
+    gphi = np.abs(g) * path.orig_norm[idx]
+    keep = bound <= _bound_threshold(phi.shape[0], len(path.steps), press[j0], rr, path.yy, gphi)
     keep[j0] = False
-    press = np.full(g.size, np.inf)
-    press[j0] = p0
-    if keep.any():
-        press[keep] = _score_press(
-            wm[:, keep], g[keep], ssm[keep], resid, one_minus_lev, scratch
-        )
+    kept = np.where(keep)[0]
+    if kept.size:
+        press[kept] = _score_press(path, phi, idx[kept], g[kept], ss[kept])
     return press
 
 
-def _bound_threshold(n_rows: int, press: float, rr: float) -> float:
-    """The largest computed residual bound a candidate can have when its
-    computed mean-squared PRESS is at or below ``press``, on ``n_rows`` rows
-    with residual sum of squares ``rr``: ``n * press * (1 + slack) + slack *
-    rr``.
+def _bound_threshold(
+    n_rows: int, k: int, press: float, rr: float, yy: float, gphi: np.ndarray
+) -> np.ndarray:
+    """The largest computed residual bound each candidate can have when its
+    computed mean-squared PRESS is at or below ``press``, at step ``k`` of a
+    path on ``n_rows`` rows whose residual and target have sums of squares
+    ``rr`` and ``yy``; ``gphi`` is each candidate's ``|g| ||phi_c||``, its
+    projection coefficient times its original norm: ``n * press * (1 + s)
+    + s * (rr + (k + 1) * gphi * (2 sqrt(yy) + gphi))``, ``s = 4 (n + 4)
+    eps``.
 
-    With u = eps/2, the computed bound is off the exact one of the stored
-    vectors by at most about (4n + 3)u rr: n u rr from rr (an n-term dot
-    product), n u ||r|| ||w|| <= n u rr twice from the gemv's r.w and once
-    from w.w in the quotient (Cauchy-Schwarz), 2u from the product and
-    quotient and u from the subtraction.  Near an exact fit that
-    subtraction cancels, and this absolute term is the one that matters.
+    With u = eps/2, the computed bound ``rr - p^2 / ss`` is off the exact
+    one of its operands by at most about (n + 3)u rr: n u rr from rr (an
+    n-term dot product), 2u from the product and quotient (p^2 / ss <= rr)
+    and u from the subtraction.  Near an exact fit that subtraction
+    cancels, and this absolute term is the one that matters.
+
+    The scored column w and the stored residual r give numerators whose sum
+    of squares is ``rr - 2 g (r.w) + g^2 (w.w)``: with ``r.w = p + dp`` and
+    ``w.w = ss + dss`` that is the bound less ``2 g dp - g^2 dss``.  p and
+    ss are downdated from ``y.phi_c`` and ``phi_c.phi_c`` and w is formed
+    from phi_c and the record, so their gaps carry absolute error on the
+    scale of the target's energy, not of rr.  If the orthogonal columns are
+    orthogonal to working precision, each of the k steps adds to dp at most
+    about 4(n + 4)u ||y|| ||phi_c||: the n-term dot products of the
+    downdate, of its correction and of r against w's residual components
+    along the earlier columns, each bounded through ``|a_i| ||w_i|| <=
+    ||phi_c||`` and ``|g_i| ||w_i|| <= ||y||``; w's own rounding adds
+    lower-order terms.  Likewise for dss with ``||phi_c||^2``.  So
+    ``2|g| |dp| + g^2 |dss| <= 2 (k + 1)(n + 4) eps gphi (2 ||y|| + gphi)``.
+
     The exact bound is at most the exact sum of the kernel's numerators
-    squared, whatever g they use (r.w / w.w minimizes it); rounding them
-    costs at most about 6u rr, dividing by denominators <= 1 cannot shrink
-    them, and the square and the mean lose at most (n + 2)u relative.  The
-    slack is twice the sum of these first-order terms, which also covers
-    the threshold's own roundings.
+    squared; rounding them costs at most about 6u rr, dividing by
+    denominators <= 1 cannot shrink them, and the square and the mean lose
+    at most (n + 2)u relative.  The slack is twice the sum of these
+    first-order terms, which also covers the threshold's own roundings.
     """
-    slack = 4.0 * (n_rows + 4) * np.finfo(float).eps
-    return n_rows * press * (1.0 + slack) + slack * rr
+    s = 4.0 * (n_rows + 4) * _EPS
+    return n_rows * press * (1.0 + s) + s * (rr + (k + 1) * gphi * (2.0 * math.sqrt(yy) + gphi))
 
 
 def _score_press(
-    wm: np.ndarray,
-    g: np.ndarray,
-    ssm: np.ndarray,
-    resid: np.ndarray,
-    one_minus_lev: np.ndarray,
-    scratch: np.ndarray,
+    path: _Path, phi: np.ndarray, cols: np.ndarray, g: np.ndarray, ss: np.ndarray
 ) -> np.ndarray:
-    """Mean-squared PRESS of the columns of ``wm`` (an F-ordered gather,
-    overwritten) with projection coefficients ``g``; ``inf`` where rejected.
+    """Mean-squared PRESS of candidate columns ``cols`` with projection
+    coefficients ``g`` and squared norms ``ss``; ``inf`` where rejected.
 
-    The deleted residuals are formed with numerators in ``scratch`` and
-    denominators over ``wm``: the elementwise operations of out-of-place
-    expressions, without their n x M temporaries.  A fancy-indexed gather
-    of columns is F-ordered, so np.mean sums each column pairwise and the
-    numerators keep that layout: a column's PRESS has the same bits whether
-    it is scored alone, in a subset or in the full block.
+    Each candidate is orthogonalized explicitly, ``phi_c - sum_i acc[i, c]
+    w_i``, one per row.  The einsum sums those products in the order of i
+    and each row's mean is a pairwise sum over a contiguous row, so a
+    candidate's PRESS has the same bits whether it is scored alone, in a
+    subset or with every candidate (a BLAS product rounds a column
+    differently depending on where it sits).
     """
-    deleted_num = np.multiply(wm, g, out=scratch[: wm.size].reshape(wm.shape, order="F"))
-    np.subtract(resid[:, None], deleted_num, out=deleted_num)
-    deleted_den = np.square(wm, out=wm)
-    deleted_den /= ssm
-    np.subtract(one_minus_lev[:, None], deleted_den, out=deleted_den)
-    rejected = (deleted_den < LEVERAGE_GUARD).any(axis=0)
+    k = len(path.steps)
+    w = np.einsum("in,ic->cn", path.w_rows[:k], path.acc[:k, cols], order="C")
+    np.subtract(phi[:, cols].T, w, out=w)
+    deleted_num = path.resid - w * g[:, None]
+    deleted_den = np.square(w, out=w)
+    deleted_den /= ss[:, None]
+    np.subtract(1.0 - path.leverage, deleted_den, out=deleted_den)
+    rejected = np.minimum.reduce(deleted_den, axis=1) < LEVERAGE_GUARD
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         deleted_num /= deleted_den
         deleted_num *= deleted_num
-        press = np.mean(deleted_num, axis=0)
+        # np.mean's bits, without its wrapper
+        press = np.add.reduce(deleted_num, axis=1) / deleted_num.shape[1]
     press[rejected] = np.inf
     return press
-
-
-def _err_path(
-    problem: RegressionProblem, forced_first: int | None, max_terms: int, stop: bool
-) -> SelectionPath:
-    """ERR selection needs only inner products, so the candidates are never
-    orthogonalized.  Each candidate's orthogonalized squared norm and its
-    projection on the target are downdated after every step from ``d``, the
-    new orthogonal column's products with the orthogonalized candidates:
-    one gemv over phi per step.  The selected column itself is formed
-    explicitly from phi and the record, for the re-orthogonalization test
-    and the recorded metrics.  The Gram matrix is never formed: it would
-    square phi's condition number."""
-    phi = problem.phi
-    path = _Path(problem, max_terms)
-    cand_ss = path.orig_ss.copy()
-    cand_proj = problem.target @ phi
-    n_evaluated = 0
-    stop_reason = "max_terms"
-
-    while len(path.steps) < max_terms:
-        usable = path.available & (cand_ss > RANK_TOL * path.orig_ss)
-        if not usable.any():
-            stop_reason = "no usable candidates (rank tolerance)"
-            break
-
-        if not path.steps and forced_first is not None:
-            if not usable[forced_first]:
-                stop_reason = "forced first term is rank-deficient"
-                break
-            best = forced_first
-        else:
-            idx = np.where(usable)[0]
-            n_evaluated += len(idx)
-            scores = cand_proj[idx] ** 2 / (cand_ss[idx] * path.yy)
-            best = int(idx[int(np.argmax(scores))])
-
-        k = len(path.steps)
-        w = phi[:, best] - path.acc[:k, best] @ path.w_rows[:k]
-        ws = path.take(best, w)
-
-        rem = np.where(path.available)[0]
-        # after the step that fills max_terms no candidate is read again,
-        # but the ERR stop below still names the stop reason
-        if rem.size and len(path.steps) < max_terms:
-            # candidate c orthogonalized is phi_c - sum_i acc[i, c] w_i, so
-            # its product with w is w.phi_c less w's rounding-level products
-            # with the earlier columns times acc[:, c]: without that term the
-            # downdates pick up errors of phi's scale on ill-conditioned
-            # dictionaries
-            d = (w @ phi - (path.w_rows[:k] @ w) @ path.acc[:k])[rem]
-            coeffs = d / ws
-            path.acc[k, rem] = coeffs
-            cand_ss[rem] -= coeffs * d
-            cand_proj[rem] -= coeffs * float(w @ problem.target)
-
-        if stop and sum(s.err for s in path.steps) >= ERR_TOTAL:
-            stop_reason = "cumulative ERR threshold"
-            break
-
-    return path.finish(stop_reason, n_evaluated)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +90,23 @@ class RegressionProblem:
     @property
     def n_terms(self) -> int:
         return self.phi.shape[1]
+
+    @cached_property
+    def first_twins(self) -> np.ndarray:
+        """Column c -> the lowest index of a column equal to column c bit for
+        bit (c itself when there is none), e.g. ``u(t-k)`` for ``u(t-k)^2``
+        on a 0/1 input.  Computed once per problem, on first use."""
+        bits = self.phi.view(np.int64)
+        fingerprint = bits.sum(axis=0)  # wraps on overflow; equal columns agree
+        first: dict[int, int] = {}
+        twins = np.array(
+            [first.setdefault(f, c) for c, f in enumerate(fingerprint.tolist())], dtype=np.intp
+        )
+        # a shared fingerprint is checked bit for bit
+        for c in np.flatnonzero(twins != np.arange(twins.size)):
+            same = np.flatnonzero(fingerprint[:c] == fingerprint[c])
+            twins[c] = next((j for j in same if np.array_equal(bits[:, j], bits[:, c])), c)
+        return twins
 
 
 def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from narxid import (
     Criterion,
@@ -32,6 +32,7 @@ from narxid.ofr import (
     LEVERAGE_GUARD,
     _BOUND_MIN_BLOCK,
     _bound_threshold,
+    _score_press,
     PathStep,
     SelectionPath,
     default_max_terms,
@@ -429,10 +430,9 @@ def reference_ofr_select(
     """The OFR kernel that updates the candidates through a fancy-indexed
     write-back, ``work[:, rem] -= np.outer(w, coeffs)``.
 
-    Under PRESS, ``ofr_select`` must agree with it bit for bit: every
-    step's term, ERR, PRESS and ``g``, the triangular record, the stop
-    reason and the evaluation count.  Under ERR, see
-    :func:`assert_err_path_close`.
+    ``ofr_select`` scores on downdated norms and projections, so it agrees
+    with this kernel to rounding, not bit for bit: see
+    :func:`assert_path_close`.
     """
     phi = problem.phi
     target = problem.target
@@ -569,13 +569,14 @@ def path_bits(path):
     )
 
 
-# An ERR path is scored on downdated norms and recorded from an orthogonal
-# column formed from phi, so it agrees with the reference kernel to rounding,
-# not bit for bit.  On the cases below the gaps are at most 1.3e-13 in ERR
-# and 4e-13 relative in g and the coefficients (near-parallel columns), and
-# 2e-15 and 1e-14 elsewhere.
+# A path is scored on downdated norms and projections and recorded from an
+# orthogonal column formed from phi, so it agrees with the reference kernel
+# to rounding, not bit for bit.  On the cases below the gaps are at most
+# 1.3e-13 in ERR and 4e-13 relative in g and the coefficients (near-parallel
+# columns), and 2e-15 and 1e-14 elsewhere.
 ERR_ATOL = 1e-11
 COEF_RTOL = 1e-9
+PRESS_RTOL = 1e-6
 # Remaining share of the target's energy at which a fit is exact: every
 # later ERR score is rounding noise, so later steps are not compared.
 EXACT_FIT = 1e-9
@@ -593,26 +594,40 @@ def truncated(path, n):
     return SelectionPath(path.steps[:n], path.triangular[:n, :n], path.stop_reason, path.n_evaluated)
 
 
-def assert_err_path_close(problem, ours, ref):
-    """The differential ERR check against the reference kernel: the same
-    terms up to the exact fit, where only bitwise-equal columns may swap
-    (``u(t-k)`` and ``u(t-k)^2`` on a 0/1 record); ERR, ``g`` and the
-    back-substituted coefficients within tolerance; and, when the reference
-    path ends before an exact fit or at it, the same length, stop reason and
-    evaluation count."""
+def assert_path_close(problem, criterion, ours, ref):
+    """The differential check against the reference kernel, for both
+    criteria: the same terms up to the exact fit, where only bitwise-equal
+    columns may swap (``u(t-k)`` and ``u(t-k)^2`` on a 0/1 record), and
+    under PRESS the step that completes the fit may take another column
+    that completes it too (every such column's PRESS is rounding noise);
+    ERR, PRESS, ``g`` and the back-substituted coefficients of the shared
+    terms within tolerance (PRESS relative, above the noise floor); and,
+    when the reference path ends before an exact fit or at it, the same
+    length, stop reason and evaluation count."""
     n = exact_fit_prefix(ref)
     assert len(ours.steps) >= n
     phi = problem.phi
+
+    def same_column(a, b):
+        return a == b or np.array_equal(phi[:, a].view(np.int64), phi[:, b].view(np.int64))
+
+    m = n
+    if n and not same_column(ours.steps[n - 1].term_index, ref.steps[n - 1].term_index):
+        assert criterion is Criterion.PRESS
+        assert 1.0 - sum(s.err for s in ref.steps[:n]) <= EXACT_FIT
+        assert exact_fit_prefix(ours) == n
+        m = n - 1
     g_scale = COEF_RTOL * max((abs(s.g) for s in ref.steps[:n]), default=0.0)
-    for a, b in zip(ours.steps[:n], ref.steps[:n]):
-        assert a.term_index == b.term_index or np.array_equal(
-            phi[:, a.term_index].view(np.int64), phi[:, b.term_index].view(np.int64)
-        )
+    floor = noise_floor(problem.target)
+    for i, (a, b) in enumerate(zip(ours.steps[:n], ref.steps[:n])):
         assert abs(a.err - b.err) <= ERR_ATOL
-        assert a.g == pytest.approx(b.g, rel=COEF_RTOL, abs=g_scale)
-    theta_ref = back_substitute(truncated(ref, n))
+        assert a.ms_press == pytest.approx(b.ms_press, rel=PRESS_RTOL, abs=floor)
+        if i < m:
+            assert same_column(a.term_index, b.term_index)
+            assert a.g == pytest.approx(b.g, rel=COEF_RTOL, abs=g_scale)
+    theta_ref = back_substitute(truncated(ref, m))
     assert_allclose(
-        back_substitute(truncated(ours, n)), theta_ref,
+        back_substitute(truncated(ours, m)), theta_ref,
         rtol=COEF_RTOL, atol=COEF_RTOL * np.max(np.abs(theta_ref), initial=0.0),
     )
     if n == len(ref.steps):
@@ -622,22 +637,46 @@ def assert_err_path_close(problem, ours, ref):
 
 def bounded_ofr_select(problem, criterion, **kwargs):
     """``ofr_select`` with the residual bound on every PRESS step, whatever
-    the block size (the cases here are below the kernel's gate)."""
+    the block size (most cases here are below the kernel's gate)."""
     with mock.patch("narxid.ofr._BOUND_MIN_BLOCK", 0):
         return ofr_select(problem, criterion, **kwargs)
 
 
+def score_all_ofr_select(problem, criterion, **kwargs):
+    """``ofr_select`` scoring every usable PRESS candidate in full, in one
+    block, at every step."""
+    with mock.patch("narxid.ofr._BOUND_MIN_BLOCK", 2**62):
+        return ofr_select(problem, criterion, **kwargs)
+
+
 def assert_matches_reference(problem, criterion, **kwargs):
-    """PRESS paths bit for bit, with and without the residual bound; ERR
-    paths by :func:`assert_err_path_close`."""
+    """Both criteria close to the reference kernel by
+    :func:`assert_path_close`; PRESS paths bit for bit with the residual
+    bound on every step and with every candidate scored."""
     ours = ofr_select(problem, criterion, **kwargs)
-    ref = reference_ofr_select(problem, criterion, **kwargs)
+    assert_path_close(problem, criterion, ours, reference_ofr_select(problem, criterion, **kwargs))
     if criterion is Criterion.PRESS:
-        assert path_bits(ours) == path_bits(ref)
-        assert path_bits(bounded_ofr_select(problem, criterion, **kwargs)) == path_bits(ref)
-    else:
-        assert_err_path_close(problem, ours, ref)
+        assert path_bits(bounded_ofr_select(problem, criterion, **kwargs)) == path_bits(ours)
+        assert path_bits(score_all_ofr_select(problem, criterion, **kwargs)) == path_bits(ours)
     return ours
+
+
+def binary_prbs_problem():
+    """The DC motor's response to a 0/1 PRBS over a degree-2 dictionary
+    (LagSpec(2, 2), 14 candidates, 398 rows), where ``u(t-k)^2`` equals
+    ``u(t-k)`` bit for bit."""
+    u = generate_signal(Prbs(length=400, levels=(0.0, 1.0), hold=5, seed=332))
+    d = expand_dictionary(build_linear_dictionary(LagSpec(2, 2)), 2)
+    return build_problem(IoData(u, dc_motor_reference(u)), d)
+
+
+def lowest_equal_columns(phi):
+    """Column c -> the lowest index of a column equal to it bit for bit."""
+    bits = phi.view(np.int64)
+    return np.array([
+        next(j for j in range(c + 1) if np.array_equal(bits[:, j], bits[:, c]))
+        for c in range(phi.shape[1])
+    ])
 
 
 def noise_free_cubic_problem():
@@ -649,11 +688,11 @@ def noise_free_cubic_problem():
 
 
 class TestOfrMatchesReference:
-    """PRESS: ``ofr_select`` updates the candidates at full width and scores
-    only the candidates its residual bound cannot rule out, and every
-    recorded bit equals the fancy-indexed write-back kernel's, which scores
-    all of them.  ERR: the downdated-norm kernel agrees with it up to the
-    exact fit."""
+    """``ofr_select`` downdates the candidates' norms and projections and
+    agrees with the fancy-indexed write-back kernel, which orthogonalizes
+    every candidate, up to the exact fit.  Under PRESS it forms explicit
+    columns only for the candidates its residual bound cannot rule out, with
+    every recorded bit of scoring all of them."""
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_every_forced_first_on_noise_free_cubic(self, criterion):
@@ -692,11 +731,22 @@ class TestOfrMatchesReference:
         # with u in {0, 1}, u(t-k)^2 equals u(t-k): PRESS and ERR scores of
         # such twins differ only in the last bits, which the order of every
         # sum decides
-        u = generate_signal(Prbs(length=400, levels=(0.0, 1.0), hold=5, seed=332))
-        d = expand_dictionary(build_linear_dictionary(LagSpec(2, 2)), 2)
-        problem = build_problem(IoData(u, dc_motor_reference(u)), d)
-        for first in range(len(d)):
+        problem = binary_prbs_problem()
+        for first in range(problem.phi.shape[1]):
             assert_matches_reference(problem, criterion, forced_first=first)
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_equal_columns_break_toward_the_lowest_index(self, criterion):
+        # the twins' scores differ in the last bits, which depend on where
+        # each column sits in phi, so without the tie-break the higher
+        # index wins on some paths
+        problem = binary_prbs_problem()
+        lowest = lowest_equal_columns(problem.phi)
+        assert (lowest != np.arange(len(lowest))).sum() == 2
+        for first in range(problem.phi.shape[1]):
+            path = ofr_select(problem, criterion, forced_first=first)
+            assert all(lowest[c] == c for c in path.term_indices[1:])
+        assert_array_equal(problem.first_twins, lowest)
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_near_parallel_columns_reorthogonalize(self, criterion):
@@ -779,17 +829,27 @@ class TestOfrMatchesReference:
         assert len(path.steps) == default_max_terms(24, 70)
 
     def test_bound_slack_past_the_cancellation(self):
-        # case C at white-noise seed 5, forced first term 107: at the 30th
-        # step the best fits are exact, so rr - (r.w)^2 / (w.w) cancels to
-        # rounding noise.  A threshold without the slack's absolute term
-        # ruled out column 23 (ms PRESS 3.2e-31) there and took 20 (7.2e-31).
+        # case C at white-noise seed 5, forced first terms 107 and 158: at
+        # the 30th step the best fits are exact, so rr - p^2 / ss cancels to
+        # rounding noise, and p and ss, downdated on the target's and phi's
+        # scale, are off by more than that.  A threshold without the
+        # downdate term (k = -1 drops it) ruled out column 20, which scoring
+        # every candidate takes, and took 23.
         u = generate_signal(WhiteNoise(length=500, seed=5))
         d = expand_dictionary(build_linear_dictionary(LagSpec(4, 4)), 3, include_constant=True)
         problem = build_problem(IoData(u, dc_motor_reference(u)), d)
         n_rows, n_cols = problem.phi.shape
         assert n_rows * (n_cols - 30) >= _BOUND_MIN_BLOCK  # every step is bounded
-        path = assert_matches_reference(problem, Criterion.PRESS, forced_first=107)
-        assert len(path.steps) == 30 and path.term_indices[-1] == 23
+
+        def without_downdate(n_rows, k, press, rr, yy, gphi):
+            return _bound_threshold(n_rows, -1, press, rr, yy, gphi)
+
+        for first in (107, 158):
+            path = assert_matches_reference(problem, Criterion.PRESS, forced_first=first)
+            assert len(path.steps) == 30 and path.term_indices[-1] == 20
+            with mock.patch("narxid.ofr._bound_threshold", without_downdate):
+                cut = ofr_select(problem, Criterion.PRESS, forced_first=first)
+            assert cut.term_indices[-1] == 23
 
 
 def gram_schmidt(w, columns):
@@ -845,17 +905,20 @@ class TestResidualBound:
             except LeverageError:
                 continue
             proj = float(resid @ w)
-            bound = rr - proj * (proj / ss)
-            assert bound <= _bound_threshold(n_rows, press, rr)
+            g = proj / ss
+            bound = rr - proj * g
+            gphi = abs(g) * np.sqrt(phi[:, c] @ phi[:, c])
+            yy = float(target @ target)
+            assert bound <= _bound_threshold(n_rows, len(selected), press, rr, yy, gphi)
 
 
-def evaluations_per_step(kernel, problem, forced_first):
+def evaluations_per_step(kernel, problem, forced_first, criterion=Criterion.ERR):
     """How many candidates pass the rank test at each step of an unstopped
-    ERR path, read off the evaluation counts of paths capped one step apart
-    (a forced first step evaluates none)."""
+    path, read off the evaluation counts of paths capped one step apart (a
+    forced first step evaluates none)."""
     counts, total = [], 0
     for cap in range(1, problem.phi.shape[1] + 1):
-        path = kernel(problem, Criterion.ERR, forced_first=forced_first, max_terms=cap, stop=False)
+        path = kernel(problem, criterion, forced_first=forced_first, max_terms=cap, stop=False)
         if len(path.steps) < cap:
             break
         counts.append(path.n_evaluated - total)
@@ -952,3 +1015,108 @@ class TestErrKernelNumerics:
         W = orthogonal_columns(path, phi)
         for j, step in enumerate(path.steps):
             assert step.err == pytest.approx(err_of(W[:, j], target), rel=1e-9, abs=1e-12)
+
+
+class TestPressKernelNumerics:
+    """The PRESS kernel scores on the same downdated norms and projections
+    as ERR and forms explicit columns only for the candidates it scores in
+    full: its rank decisions, coefficients, recorded PRESS and bound must
+    hold where cancellation is large."""
+
+    @pytest.mark.parametrize("make_problem", [ill_conditioned_cubic_problem, near_threshold_problem])
+    def test_rank_drops_match_the_reference(self, make_problem):
+        problem = make_problem()
+        n_cols = problem.phi.shape[1]
+        dropped = 0
+        for first in (None, 0, 1, 5, n_cols - 1):
+            ours = evaluations_per_step(ofr_select, problem, first, Criterion.PRESS)
+            assert ours == evaluations_per_step(reference_ofr_select, problem, first, Criterion.PRESS)
+            # without a drop each step evaluates one candidate fewer
+            dropped += sum(a - b > 1 for a, b in zip(ours[1:], ours[2:]))
+        assert dropped
+
+    @pytest.mark.parametrize("make_problem", [ill_conditioned_cubic_problem, near_threshold_problem])
+    def test_coefficients_match_least_squares(self, make_problem):
+        problem = make_problem()
+        scale = np.max(np.abs(problem.target))
+        for first in (None, *range(problem.phi.shape[1])):
+            for stop in (True, False):
+                path = assert_matches_reference(problem, Criterion.PRESS, forced_first=first, stop=stop)
+                cols = problem.phi[:, list(path.term_indices)]
+                theta = back_substitute(path)
+                direct = least_squares(problem, path.term_indices)
+                assert_allclose(theta, direct, rtol=0, atol=1e-7 * np.max(np.abs(direct)))
+                assert np.max(np.abs(cols @ (theta - direct))) <= 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.integers(12, 60),
+        n_cols=st.integers(2, 10),
+        near_copy=st.sampled_from([0.0, 1e-3, 1e-6]),
+        stop=st.booleans(),
+    )
+    def test_every_step_press_is_press_of_its_orthogonal_columns(
+        self, seed, n_rows, n_cols, near_copy, stop,
+    ):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(n_rows, n_cols))
+        if near_copy:
+            phi[:, -1] = phi[:, 0] + near_copy * rng.normal(size=n_rows)
+        target = rng.normal(size=n_rows)
+        path = ofr_select(fake_problem(phi, target), Criterion.PRESS, stop=stop)
+        W = orthogonal_columns(path, phi)
+        for j, step in enumerate(path.steps):
+            expected = press_of(list(W[:, :j].T), W[:, j], target)
+            assert step.ms_press == pytest.approx(expected, rel=1e-9, abs=noise_floor(target))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(8, 80),
+        n_cols=st.integers(2, 14),
+        n_true=st.integers(1, 6),
+        noise=st.sampled_from([0.0, 1e-6, 0.1]),
+        near_copy=st.sampled_from([0.0, 1e-4]),
+        last=st.sampled_from([1.0, 1e-4]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        stop=st.booleans(),
+    )
+    def test_bound_holds_on_the_downdated_state(
+        self, seed, n_rows, n_cols, n_true, noise, near_copy, last, scale, stop,
+    ):
+        # every candidate the kernel would score, scored in full: its
+        # residual bound from the downdated norm and projection is within
+        # the threshold of its own PRESS, so ruling candidates out never
+        # changes a path.  A small last true term leaves the step that
+        # completes an exact fit with rr far below the target's energy,
+        # where the downdates' error dominates the bound.
+        rng = np.random.default_rng(seed)
+        phi = scale * rng.normal(size=(n_rows, n_cols))
+        if near_copy:
+            phi[:, -1] = phi[:, 0] + near_copy * scale * rng.normal(size=n_rows)
+        n_true = min(n_true, n_cols)
+        coeffs = rng.normal(size=n_true)
+        coeffs[-1] *= last
+        target = phi[:, :n_true] @ coeffs + noise * scale * rng.normal(size=n_rows)
+        problem = fake_problem(phi, target)
+        n_scored = 0
+
+        def check_and_score(path, phi, idx, ss, proj):
+            nonlocal n_scored
+            g = proj / ss
+            press = _score_press(path, phi, idx, g, ss)
+            rr = float(np.einsum("i,i->", path.resid, path.resid))
+            gphi = np.abs(g) * np.sqrt(path.orig_ss[idx])
+            finite = np.isfinite(press)
+            threshold = _bound_threshold(
+                n_rows, len(path.steps), press[finite], rr, path.yy, gphi[finite]
+            )
+            assert np.all((rr - proj * g)[finite] <= threshold)
+            n_scored += int(finite.sum())
+            return press
+
+        with mock.patch("narxid.ofr._press_scores", check_and_score):
+            scored_all = ofr_select(problem, Criterion.PRESS, stop=stop)
+        assert n_scored or not scored_all.n_evaluated
+        assert path_bits(bounded_ofr_select(problem, Criterion.PRESS, stop=stop)) == path_bits(scored_all)
