@@ -67,12 +67,13 @@ _EPS = float(np.finfo(float).eps)
 # A PRESS step bounds its candidates' PRESS before scoring them only when
 # the scoring block holds at least this many elements (rows x usable
 # candidates): below it the bound's extra numpy calls cost more than the
-# explicit columns it saves.  Timed over every forced-first path of
-# LagSpec(2, 2, 2) DC-motor records (2-core x86-64, OpenBLAS, one thread),
-# scoring every candidate in one call took 0.77 times as long as bounded
-# scoring on 58-row records (blocks under 2**10 elements), 0.85 on 98 rows,
-# 0.96 on 158 rows, 1.01 on 248 rows and 1.14 on 398-row PRBS records (up
-# to 2**12.4 elements).  See _press_scores.
+# explicit columns it saves.  On the benchmark's small-batch workload
+# (12 identify calls on 58- to 398-row records, 2-core x86-64, OpenBLAS),
+# bounding every block instead raised wall_ref_s by 5.5% and cpu_ref_s by
+# 7.2% in the median of 8 alternating pairs, slower in 7 and 8 of them
+# (BENCH_26.json, "gate_runs").  Per path, scoring every candidate in one
+# call took 0.77 times as long as bounded scoring on 58-row records and
+# 1.14 times on 398-row ones.  See _press_scores.
 _BOUND_MIN_BLOCK = 2**12
 
 
@@ -336,9 +337,8 @@ class _Path:
         self.resid = self.resid - g * w
         self.leverage = self.leverage + w**2 / ws
         denom = 1.0 - self.leverage
-        if np.minimum.reduce(denom) >= LEVERAGE_GUARD:
-            # np.mean's bits, without its wrapper
-            ms_press = float(np.add.reduce((self.resid / denom) ** 2)) / denom.size
+        if np.all(denom >= LEVERAGE_GUARD):
+            ms_press = float(np.mean((self.resid / denom) ** 2))
         else:
             ms_press = float("inf")
 
@@ -456,11 +456,10 @@ def _score_press(
     deleted_den = np.square(w, out=w)
     deleted_den /= ss[:, None]
     np.subtract(1.0 - path.leverage, deleted_den, out=deleted_den)
-    rejected = np.minimum.reduce(deleted_den, axis=1) < LEVERAGE_GUARD
+    rejected = (deleted_den < LEVERAGE_GUARD).any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         deleted_num /= deleted_den
         deleted_num *= deleted_num
-        # np.mean's bits, without its wrapper
-        press = np.add.reduce(deleted_num, axis=1) / deleted_num.shape[1]
+        press = np.mean(deleted_num, axis=1)
     press[rejected] = np.inf
     return press

@@ -83,6 +83,11 @@ class RegressionProblem:
     dictionary: Dictionary
     offset: int
 
+    def __post_init__(self):
+        # selection reads phi's bits as float64 (see first_twins)
+        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
+        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+
     @property
     def n_rows(self) -> int:
         return self.phi.shape[0]

@@ -278,6 +278,22 @@ class TestOfrSelect:
         assert a.term_indices == b.term_indices == (0,)
 
     @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
+    def test_float32_phi_selects_as_its_float64_copy(self, criterion):
+        # the twin tie-break reads phi's bits as float64: a float32 phi with
+        # an even column count would read as half as many columns
+        rng = np.random.default_rng(43)
+        phi = rng.normal(size=(60, 8)).astype(np.float32)
+        phi[:, 6] = phi[:, 3]
+        target = (phi[:, 5] - 0.5 * phi[:, 6] + 0.1 * rng.normal(size=60)).astype(np.float32)
+        copy = fake_problem(phi, target)
+        problem = RegressionProblem(phi, target, copy.dictionary, 0)
+        assert problem.phi.dtype == problem.target.dtype == np.float64
+        assert_array_equal(problem.first_twins, [0, 1, 2, 3, 4, 5, 3, 7])
+        for first in (None, 6):
+            path = ofr_select(problem, criterion, forced_first=first)
+            assert path_bits(path) == path_bits(ofr_select(copy, criterion, forced_first=first))
+
+    @pytest.mark.parametrize("criterion", [Criterion.PRESS, Criterion.ERR])
     def test_empty_dictionary(self, criterion):
         problem = fake_problem(np.empty((20, 0)), np.ones(20))
         path = ofr_select(problem, criterion)
@@ -594,40 +610,27 @@ def truncated(path, n):
     return SelectionPath(path.steps[:n], path.triangular[:n, :n], path.stop_reason, path.n_evaluated)
 
 
-def assert_path_close(problem, criterion, ours, ref):
+def assert_path_close(problem, ours, ref):
     """The differential check against the reference kernel, for both
     criteria: the same terms up to the exact fit, where only bitwise-equal
-    columns may swap (``u(t-k)`` and ``u(t-k)^2`` on a 0/1 record), and
-    under PRESS the step that completes the fit may take another column
-    that completes it too (every such column's PRESS is rounding noise);
-    ERR, PRESS, ``g`` and the back-substituted coefficients of the shared
-    terms within tolerance (PRESS relative, above the noise floor); and,
-    when the reference path ends before an exact fit or at it, the same
-    length, stop reason and evaluation count."""
+    columns may swap (``u(t-k)`` and ``u(t-k)^2`` on a 0/1 record); ERR,
+    PRESS, ``g`` and the back-substituted coefficients within tolerance
+    (PRESS relative, above the noise floor); and, when the reference path
+    ends before an exact fit or at it, the same length, stop reason and
+    evaluation count."""
     n = exact_fit_prefix(ref)
     assert len(ours.steps) >= n
-    phi = problem.phi
-
-    def same_column(a, b):
-        return a == b or np.array_equal(phi[:, a].view(np.int64), phi[:, b].view(np.int64))
-
-    m = n
-    if n and not same_column(ours.steps[n - 1].term_index, ref.steps[n - 1].term_index):
-        assert criterion is Criterion.PRESS
-        assert 1.0 - sum(s.err for s in ref.steps[:n]) <= EXACT_FIT
-        assert exact_fit_prefix(ours) == n
-        m = n - 1
+    bits = problem.phi.view(np.int64)
     g_scale = COEF_RTOL * max((abs(s.g) for s in ref.steps[:n]), default=0.0)
     floor = noise_floor(problem.target)
-    for i, (a, b) in enumerate(zip(ours.steps[:n], ref.steps[:n])):
+    for a, b in zip(ours.steps[:n], ref.steps[:n]):
+        assert np.array_equal(bits[:, a.term_index], bits[:, b.term_index])
         assert abs(a.err - b.err) <= ERR_ATOL
         assert a.ms_press == pytest.approx(b.ms_press, rel=PRESS_RTOL, abs=floor)
-        if i < m:
-            assert same_column(a.term_index, b.term_index)
-            assert a.g == pytest.approx(b.g, rel=COEF_RTOL, abs=g_scale)
-    theta_ref = back_substitute(truncated(ref, m))
+        assert a.g == pytest.approx(b.g, rel=COEF_RTOL, abs=g_scale)
+    theta_ref = back_substitute(truncated(ref, n))
     assert_allclose(
-        back_substitute(truncated(ours, m)), theta_ref,
+        back_substitute(truncated(ours, n)), theta_ref,
         rtol=COEF_RTOL, atol=COEF_RTOL * np.max(np.abs(theta_ref), initial=0.0),
     )
     if n == len(ref.steps):
@@ -654,7 +657,7 @@ def assert_matches_reference(problem, criterion, **kwargs):
     :func:`assert_path_close`; PRESS paths bit for bit with the residual
     bound on every step and with every candidate scored."""
     ours = ofr_select(problem, criterion, **kwargs)
-    assert_path_close(problem, criterion, ours, reference_ofr_select(problem, criterion, **kwargs))
+    assert_path_close(problem, ours, reference_ofr_select(problem, criterion, **kwargs))
     if criterion is Criterion.PRESS:
         assert path_bits(bounded_ofr_select(problem, criterion, **kwargs)) == path_bits(ours)
         assert path_bits(score_all_ofr_select(problem, criterion, **kwargs)) == path_bits(ours)
@@ -844,12 +847,21 @@ class TestOfrMatchesReference:
         def without_downdate(n_rows, k, press, rr, yy, gphi):
             return _bound_threshold(n_rows, -1, press, rr, yy, gphi)
 
+        paths = {}
         for first in (107, 158):
-            path = assert_matches_reference(problem, Criterion.PRESS, forced_first=first)
+            path = paths[first] = ofr_select(problem, Criterion.PRESS, forced_first=first)
+            score_all = score_all_ofr_select(problem, Criterion.PRESS, forced_first=first)
+            assert path_bits(path) == path_bits(score_all)
             assert len(path.steps) == 30 and path.term_indices[-1] == 20
             with mock.patch("narxid.ofr._bound_threshold", without_downdate):
                 cut = ofr_select(problem, Criterion.PRESS, forced_first=first)
             assert cut.term_indices[-1] == 23
+        # every PRESS at that step is rounding noise in the reference kernel
+        # too, which from 158 takes 20 and from 107 takes 23 after the same
+        # 29 terms
+        assert_matches_reference(problem, Criterion.PRESS, forced_first=158)
+        ref = reference_ofr_select(problem, Criterion.PRESS, forced_first=107)
+        assert ref.term_indices == paths[107].term_indices[:29] + (23,)
 
 
 def gram_schmidt(w, columns):
