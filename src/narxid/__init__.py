@@ -37,7 +37,9 @@ from .ofr import (
 )
 from .pipeline import IdentificationReport, ReductionMethod, identify, overfit_preselect
 from .regression import IoData, RegressionProblem, build_problem, least_squares
-from .search import ModelPool, PoolEntry, SearchConfig, SearchResult, bic_of, iterative_ofr
+from .search import (
+    ModelPool, Outcome, PoolEntry, SearchConfig, SearchResult, bic_of, iterative_ofr,
+)
 from .simulation import (
     FreeRunResult,
     Model,
@@ -77,7 +79,7 @@ __all__ = [
     "Model", "FreeRunResult", "StabilityVerdict", "simulate_free_run",
     "predict_one_step", "stability_probe",
     # search
-    "SearchConfig", "SearchResult", "ModelPool", "PoolEntry", "bic_of",
+    "SearchConfig", "SearchResult", "ModelPool", "PoolEntry", "Outcome", "bic_of",
     "iterative_ofr",
     # pipeline
     "ReductionMethod", "IdentificationReport", "identify", "overfit_preselect",

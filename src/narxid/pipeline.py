@@ -24,8 +24,8 @@ so the cost of each method is observable.
 from __future__ import annotations
 
 import logging
-import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import ConfigError, IdentificationError
 from .ofr import Criterion, back_substitute, default_max_terms, ofr_select
 from .regression import IoData, RegressionProblem, build_problem
-from .search import ModelPool, SearchConfig, SearchResult, iterative_ofr
+from .search import ModelPool, Outcome, SearchConfig, SearchResult, iterative_ofr
 from .simulation import PROBE_SETTLE
 from .terms import (
     LagSpec,
@@ -176,8 +176,10 @@ def identify(
     leaves ``narx`` None and a note of the rejection counts.  A linear stage
     with none raises :class:`IdentificationError`.  A lag bound beyond the
     stability probe's settle window is a :class:`ConfigError`, raised before
-    any search runs.
+    any search runs, as is a ``method`` that is not a :class:`ReductionMethod`.
     """
+    if not isinstance(method, ReductionMethod):
+        raise ConfigError(f"method must be a ReductionMethod, got {method!r}")
     check_lag_bound(spec)
     timings: dict[str, float] = {}
     notes: list[str] = []
@@ -244,19 +246,11 @@ def identify(
 
 def _rejection_note(pool: ModelPool) -> str:
     """Why each candidate of a stage with no selectable one was rejected."""
-    diverged = sum(e.verdict.diverged for e in pool)
-    too_variable = sum(not (e.verdict.stable or e.verdict.diverged) for e in pool)
-    # a probe-stable entry with a finite training error lacks only a BIC,
-    # which needs fewer terms than fitted rows
-    saturated = sum(e.verdict.stable and math.isfinite(e.msse) for e in pool)
-    run_diverged = len(pool) - diverged - too_variable - saturated
-    if saturated:
-        tail = (f", {run_diverged} diverged on the training run and {saturated} "
-                f"had as many terms as fitted rows (BIC undefined)")
-    else:
-        tail = f" and {run_diverged} diverged on the training run"
+    counts = Counter(e.outcome for e in pool)
+    # the rejections; as many terms as fitted rows only when some candidate had it
+    reasons = list(Outcome)[: 4 if counts[Outcome.NO_BIC] else 3]
+    *head, last = (f"{counts[o]} {o.value}" for o in reasons)
     return (
         f"nonlinear stage found no stable candidate, so the linear model is kept: "
-        f"of {len(pool)} candidates, {diverged} diverged under the probe, "
-        f"{too_variable} had probe variance above epsilon{tail}"
+        f"of {len(pool)} candidates, {', '.join(head)} and {last}"
     )

@@ -40,7 +40,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ from .terms import Dictionary, Term
 
 __all__ = [
     "SearchConfig",
+    "Outcome",
     "PoolEntry",
     "ModelPool",
     "SearchResult",
@@ -77,8 +80,10 @@ class SearchConfig:
     ``epsilon`` is the stability probe's variance threshold, an absolute
     variance in output units: scaling ``y`` by ``c`` scales the probe
     variances by ``c**2`` and leaves ``epsilon`` as it is.  ``max_terms`` of
-    None uses the identifiability default.  Out-of-range values raise
-    :class:`ConfigError`.
+    None uses the identifiability default.  ``max_iterations`` and
+    ``max_terms`` must be ``int`` (not ``bool``), ``epsilon`` a real number
+    and ``criterion`` a :class:`Criterion`; a value of another type or out
+    of range raises :class:`ConfigError`.
     """
 
     max_iterations: int = 10
@@ -87,6 +92,16 @@ class SearchConfig:
     max_terms: int | None = None
 
     def __post_init__(self):
+        integers = [("max_iterations", self.max_iterations)]
+        if self.max_terms is not None:
+            integers.append(("max_terms", self.max_terms))
+        for name, value in integers:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
+            raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
+        if not isinstance(self.criterion, Criterion):
+            raise ConfigError(f"criterion must be a Criterion, got {self.criterion!r}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.epsilon > 0:
@@ -95,25 +110,35 @@ class SearchConfig:
             raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
+class Outcome(Enum):
+    """What the search made of a path: rejections first, in the note's order and words."""
+
+    PROBE_DIVERGED = "diverged under the probe"
+    PROBE_VARIANCE = "had probe variance above epsilon"
+    RUN_DIVERGED = "diverged on the training run"
+    NO_BIC = "had as many terms as fitted rows (BIC undefined)"
+    SCORED = "scored"
+    EMPTY = "empty path"
+    CUT = "cut at the BIC bound"
+
+
 @dataclass(frozen=True)
 class PoolEntry:
-    """One candidate model with its screening and scoring record."""
+    """One path's outcome and, unless the path was empty or cut, its model
+    with the screening and scoring behind it.  Only ``SCORED`` is selectable."""
 
-    model: Model
-    verdict: StabilityVerdict
+    model: Model | None
+    verdict: StabilityVerdict | None
     msse: float
     bic: float
     path: SelectionPath | None = field(default=None, compare=False)
-
-    @property
-    def selectable(self) -> bool:
-        return self.verdict.stable and np.isfinite(self.bic)
+    outcome: Outcome = field(kw_only=True)
 
 
 class ModelPool(tuple):
     """All candidate models scored by a search, stable or not: an immutable
     tuple of :class:`PoolEntry` in the order their paths were first run.
-    Paths cut at the BIC bound are not candidates.
+    Empty paths and paths cut at the BIC bound are not candidates.
 
     Unstable entries are retained for reporting but never selected.
     """
@@ -121,7 +146,7 @@ class ModelPool(tuple):
     __slots__ = ()
 
     def stable(self) -> list[PoolEntry]:
-        return [e for e in self if e.selectable]
+        return [e for e in self if e.outcome is Outcome.SCORED]
 
 
 @dataclass(frozen=True)
@@ -210,23 +235,30 @@ def _score_entry(
     cfg: SearchConfig,
     msse_floor: float,
     data_hash: str,
-) -> PoolEntry | None:
-    if not path.steps:
-        return None
+    cap: int | None = None,
+) -> PoolEntry:
+    """The record of ``path``; one that reached ``cap`` steps is cut unbuilt."""
+    k = len(path.steps)
+    if not k or (cap is not None and k >= cap):
+        outcome = Outcome.CUT if k else Outcome.EMPTY
+        return PoolEntry(None, None, math.inf, math.inf, path, outcome=outcome)
     model = build_model(problem.dictionary, path, cfg.criterion, data_hash)
     verdict = stability_probe(model, cfg.epsilon)
-    n = problem.n_rows
-    k = len(path.steps)
-    msse = float("inf")
-    bic = float("inf")
-    if verdict.stable:
+    msse = bic = math.inf
+    if not verdict.stable:
+        outcome = Outcome.PROBE_DIVERGED if verdict.diverged else Outcome.PROBE_VARIANCE
+    else:
         run = simulate_free_run(model, data.u, data.y)
         if not run.diverged:
             err = data.y[problem.offset :] - run.output[problem.offset :]
             msse = float(np.mean(err**2))
-            if n > k:
-                bic = bic_of(max(msse, msse_floor), n, k)
-    return PoolEntry(model, verdict, msse, bic, path)
+        if not math.isfinite(msse):
+            outcome = Outcome.RUN_DIVERGED
+        elif problem.n_rows <= k:
+            outcome = Outcome.NO_BIC
+        else:
+            outcome, bic = Outcome.SCORED, bic_of(max(msse, msse_floor), problem.n_rows, k)
+    return PoolEntry(model, verdict, msse, bic, path, outcome=outcome)
 
 
 def _exact_fit_columns(
@@ -353,11 +385,10 @@ def iterative_ofr(
         )
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
-    # The candidate table: forced-first index -> its entry (None: empty
-    # path; an int: the path was cut at the BIC bound after that many
-    # steps), the sorted columns a pruned winner keeps -> its pruned entry.
-    # Its entries, in the order their keys were first run, are the pool.
-    table: dict[int | tuple[int, ...], PoolEntry | int | None] = {}
+    # The candidate table: forced-first index or the sorted columns a pruned
+    # winner keeps -> its record; the pool is the records with a model, in
+    # the order their keys were first run.
+    table: dict[int | tuple[int, ...], PoolEntry] = {}
     winners: list[PoolEntry] = []
     converged = False
     n_evaluations = n_cut = 0
@@ -370,8 +401,8 @@ def iterative_ofr(
         for index in seeds:
             entry = table.get(index)
             # run a path not run yet, or one cut under a stronger bound
-            if index not in table or (
-                isinstance(entry, int) and (cap is None or cap > entry)
+            if entry is None or (
+                entry.outcome is Outcome.CUT and (cap is None or cap > len(entry.path.steps))
             ):
                 path = ofr_select(
                     problem,
@@ -381,23 +412,18 @@ def iterative_ofr(
                 )
                 n_run += 1
                 n_evaluations += path.n_evaluated
-                if cap is not None and len(path.steps) >= cap:
-                    entry = len(path.steps)
-                    n_cut += 1
-                else:
-                    entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
-                table[index] = entry
-            if isinstance(entry, PoolEntry) and entry.selectable and entry.bic < best:
+                entry = table[index] = _score_entry(
+                    path, data, problem, cfg, msse_floor, data_hash, cap
+                )
+                n_cut += entry.outcome is Outcome.CUT
+            if entry.outcome is Outcome.SCORED and entry.bic < best:
                 best = entry.bic
                 cap = _length_cap(best, msse_floor, n)
         logger.debug(
             "iteration %d: %d paths run, %d cut, k_cap %s",
             iterations, n_run, n_cut - cut_before, None if cap is None else cap - 1,
         )
-        ranked = [
-            e for e in (table[i] for i in seeds)
-            if isinstance(e, PoolEntry) and e.selectable
-        ]
+        ranked = [e for e in (table[i] for i in seeds) if e.outcome is Outcome.SCORED]
         if not ranked:
             logger.debug("iteration %d produced no stable model", iterations)
             break
@@ -413,7 +439,7 @@ def iterative_ofr(
                         pruned, data, problem, cfg, msse_floor, data_hash
                     )
                 entry = table[columns]
-                if entry is not None and entry.selectable and entry.bic <= winner.bic:
+                if entry.outcome is Outcome.SCORED and entry.bic <= winner.bic:
                     winner = entry
 
         term_set = set(winner.path.term_indices)
@@ -423,7 +449,7 @@ def iterative_ofr(
             break
         seeds = winner.path.term_indices
 
-    pool = ModelPool(e for e in table.values() if isinstance(e, PoolEntry))
+    pool = ModelPool(e for e in table.values() if e.model is not None)
     if not winners:
         raise IdentificationError(
             "no stable candidate model in any iteration", pool=pool

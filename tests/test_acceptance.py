@@ -21,6 +21,7 @@ from narxid import (
     LagSpec,
     Model,
     Multitone,
+    Outcome,
     PoolEntry,
     ReductionMethod,
     SearchConfig,
@@ -297,13 +298,14 @@ def test_criterion_6_stability_probe_and_pool_exclusion():
         assert abs(good.mean1 - 2.0) <= 1e-6
         bad = stability_probe(unstable_model)
         assert not bad.stable
+        assert bad.diverged
 
         # pool selection: the unstable entry would win on BIC if eligible
         entries = [
             PoolEntry(unstable_model, bad, msse=1e-12,
-                      bic=bic_of(1e-12, 100, 2)),
+                      bic=bic_of(1e-12, 100, 2), outcome=Outcome.PROBE_DIVERGED),
             PoolEntry(stable_model, good, msse=1e-3,
-                      bic=bic_of(1e-3, 100, 2)),
+                      bic=bic_of(1e-3, 100, 2), outcome=Outcome.SCORED),
         ]
         pool = ModelPool(entries)
         eligible = pool.stable()

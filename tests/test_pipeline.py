@@ -277,21 +277,23 @@ class TestMethodCounters:
         assert evals[ReductionMethod.M4] <= evals[ReductionMethod.M2]
 
 
+@pytest.fixture()
+def ofr_calls(monkeypatch):
+    """The OFR calls made, each stopped with a RuntimeError."""
+    calls = []
+
+    def stop(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("ofr_select reached")
+
+    monkeypatch.setattr(narxid.search, "ofr_select", stop)
+    monkeypatch.setattr(narxid.pipeline, "ofr_select", stop)
+    return calls
+
+
 class TestLagBound:
     # the probe discards its first 200 samples, so it cannot judge a model
     # that reads further back; identify says so before any search runs
-    @pytest.fixture()
-    def ofr_calls(self, monkeypatch):
-        calls = []
-
-        def stop(*args, **kwargs):
-            calls.append(args)
-            raise RuntimeError("ofr_select reached")
-
-        monkeypatch.setattr(narxid.search, "ofr_select", stop)
-        monkeypatch.setattr(narxid.pipeline, "ofr_select", stop)
-        return calls
-
     def test_lag_beyond_the_settle_window_fails_before_any_search(self, ofr_calls):
         data = white_noise_benchmark(train=500)
         with pytest.raises(ConfigError, match="200-sample settle window"):
@@ -303,6 +305,22 @@ class TestLagBound:
         with pytest.raises(RuntimeError, match="ofr_select reached"):
             identify(data, LagSpec(200, 2, 1, include_constant=False))
         assert len(ofr_calls) == 1
+
+
+@pytest.mark.parametrize("name, make", [
+    ("criterion", lambda: SearchConfig(criterion="press")),
+    ("max_terms", lambda: SearchConfig(max_terms=2.5)),
+    ("epsilon", lambda: SearchConfig(epsilon="0.1")),
+    ("max_iterations", lambda: SearchConfig(max_iterations=True)),
+    ("method", lambda: identify(
+        white_noise_benchmark(), LagSpec(2, 2, 2, include_constant=False), method="m2"
+    )),
+], ids=["criterion-str", "max-terms-float", "epsilon-str", "max-iterations-bool", "method-str"])
+def test_wrong_value_type_fails_before_any_search(name, make, ofr_calls):
+    # a wrongly typed setting is a ConfigError, raised before any OFR path runs
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        make()
+    assert ofr_calls == []
 
 
 class TestReductionErrors:

@@ -10,14 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import narxid.pipeline
 import narxid.search
 from narxid import (
     Criterion,
+    FreeRunResult,
     IdentificationError,
     IoData,
     LagSpec,
     ModelPool,
     Multitone,
+    Outcome,
     Prbs,
     SearchConfig,
     SearchResult,
@@ -30,6 +33,7 @@ from narxid import (
     dc_motor_terms,
     expand_dictionary,
     generate_signal,
+    identify,
     iterative_ofr,
     least_squares,
     ofr_select,
@@ -374,12 +378,12 @@ def reference_iterative_ofr(
         for order, path in enumerate(paths):
             n_evaluations += path.n_evaluated
             entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
-            if entry is None:
+            if entry.outcome is Outcome.EMPTY:
                 continue
             pool.append(entry)
             if pool_iterations is not None:
                 pool_iterations.append(iteration)
-            if not entry.selectable:
+            if entry.outcome is not Outcome.SCORED:
                 continue
             key = (entry.bic, entry.model.n_terms, order)
             if iteration_best_key is None or key < iteration_best_key:
@@ -398,11 +402,11 @@ def reference_iterative_ofr(
                 entry = _score_entry(
                     pruned, data, problem, cfg, msse_floor, data_hash
                 )
-                if entry is not None:
+                if entry.outcome is not Outcome.EMPTY:
                     pool.append(entry)
                     if pool_iterations is not None:
                         pool_iterations.append(iteration)
-                    if entry.selectable and entry.bic <= iteration_best.bic:
+                    if entry.outcome is Outcome.SCORED and entry.bic <= iteration_best.bic:
                         iteration_best = entry
                         iteration_best_key = (
                             entry.bic, entry.model.n_terms, iteration_best_key[2]
@@ -593,6 +597,108 @@ class TestSearchReuse:
         assert result.n_cut == len(cut)
         assert len(probes) == len(result.pool)
         assert result.n_evaluations == sum(path.n_evaluated for _, _, path in calls)
+
+
+def derived_outcome(entry):
+    """An entry's outcome as read off its fields: probe divergence, else
+    probe variance, else a non-finite training error, else a non-finite BIC."""
+    if entry.verdict.diverged:
+        return Outcome.PROBE_DIVERGED
+    if not entry.verdict.stable:
+        return Outcome.PROBE_VARIANCE
+    if not np.isfinite(entry.msse):
+        return Outcome.RUN_DIVERGED
+    if not np.isfinite(entry.bic):
+        return Outcome.NO_BIC
+    return Outcome.SCORED
+
+
+def assert_outcomes_derived(pool):
+    assert [e.outcome for e in pool] == [derived_outcome(e) for e in pool]
+    selectable = [e for e in pool if e.verdict.stable and np.isfinite(e.bic)]
+    assert [id(e) for e in pool.stable()] == [id(e) for e in selectable]
+
+
+class TestOutcome:
+    """The outcome the search names is the one its entry's verdict, training
+    error and BIC imply, and ``stable()`` lists the entries with a stable
+    verdict and a finite BIC."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_search_records(self, name):
+        assert_outcomes_derived(run_case(name, iterative_ofr).pool)
+
+    def test_rejection_note_records(self, monkeypatch):
+        pools = []
+
+        def recording_note(pool):
+            pools.append(pool)
+            return note(pool)
+
+        note = narxid.pipeline._rejection_note
+        monkeypatch.setattr(narxid.pipeline, "_rejection_note", recording_note)
+        # case E at seed 2: every nonlinear candidate fails the probe
+        u = generate_signal(Prbs(length=1000, levels=(0.0, 1.0), hold=5, seed=2))
+        y = dc_motor_reference(u) + 0.01 * np.random.default_rng(2).normal(size=1000)
+        identify(IoData(u, y), LagSpec(2, 2, 2, include_constant=True))
+        # an ERR path without the leverage guard takes a term per fitted row
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=12)
+        y = dc_motor_reference(u) + rng.normal(0, 0.05, 12)
+        cfg = SearchConfig(criterion=Criterion.ERR, max_terms=100)
+        with pytest.warns(UserWarning, match="usable rows"):
+            identify(IoData(u, y), LagSpec(2, 2, 2, False), cfg=cfg)
+        assert len(pools) == 2
+        outcomes = {e.outcome for pool in pools for e in pool}
+        assert outcomes == {
+            Outcome.PROBE_DIVERGED, Outcome.PROBE_VARIANCE, Outcome.NO_BIC
+        }
+        for pool in pools:
+            assert_outcomes_derived(pool)
+
+    def test_linear_stage_without_a_stable_candidate(self):
+        u = np.random.default_rng(24).normal(size=1000)
+        data = IoData(u[:60], dc_motor_reference(u)[:60])
+        with pytest.raises(IdentificationError) as info:
+            identify(data, LagSpec(2, 2, 2, include_constant=False))
+        assert len(info.value.pool) > 0
+        assert_outcomes_derived(info.value.pool)
+
+    def test_training_run_divergence(self, monkeypatch):
+        # no record here has a probe-stable model whose training run
+        # diverges, so the free run is made to diverge at its first sample
+        def diverging_run(model, u, y_init=()):
+            return FreeRunResult(np.full(len(u), np.nan), diverged_at=0)
+
+        data = benchmark_data(train=100)
+        problem = build_problem(data, full_dictionary())
+        path = ofr_select(problem, forced_first=0)
+        monkeypatch.setattr(narxid.search, "simulate_free_run", diverging_run)
+        entry = _score_entry(path, data, problem, SearchConfig(), 0.0, "")
+        assert entry.verdict.stable
+        assert entry.outcome is derived_outcome(entry) is Outcome.RUN_DIVERGED
+        assert narxid.pipeline._rejection_note(ModelPool([entry])).endswith(
+            "of 1 candidates, 0 diverged under the probe, 0 had probe variance "
+            "above epsilon and 1 diverged on the training run"
+        )
+
+    def test_empty_and_cut_paths_have_no_model(self):
+        data = _zero_input()
+        d = full_dictionary()
+        problem = build_problem(data, d)
+        # u = 0 leaves the u(t-1) column zero: its forced-first path is empty
+        empty = ofr_select(problem, forced_first=d.index(parse_term("u(t-1)")))
+        path = ofr_select(problem, forced_first=0)
+        args = data, problem, SearchConfig(), 0.0, ""
+        records = [
+            (_score_entry(empty, *args), Outcome.EMPTY),
+            (_score_entry(path, *args, len(path.steps)), Outcome.CUT),
+        ]
+        for entry, outcome in records:
+            assert entry.outcome is outcome
+            assert entry.model is entry.verdict is None
+            assert entry.msse == entry.bic == np.inf
+        assert _score_entry(path, *args, len(path.steps) + 1).outcome is Outcome.SCORED
 
 
 @st.composite
