@@ -107,6 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     n = args.n
+    if n < 3:
+        # the DC-motor recursion reads two past samples
+        raise ConfigError(f"--n must be >= 3, got {n}")
     if args.case == "dc-motor-white":
         u = generate_signal(WhiteNoise(length=n, seed=args.seed))
     elif args.case == "dc-motor-multitone":
@@ -168,6 +171,13 @@ def _cmd_identify(args) -> int:
     if not start < end <= len(data):
         raise ConfigError(
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
+        )
+    # the residual tests need fewer lags than residuals, and no model
+    # leaves as many residuals as training samples
+    if run.validation_max_lag >= end - start:
+        raise DataError(
+            f"validation_max_lag {run.validation_max_lag} out of range for "
+            f"{end - start} training samples"
         )
     train = data.slice(start, end)
     report = identify(train, spec, method=run.method, cfg=search_cfg)

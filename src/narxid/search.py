@@ -19,20 +19,22 @@ helped when it was selected and that later terms made redundant.  When an
 iteration's winner fits to within the floor, such terms are pruned and the
 reduced model competes as one more candidate.
 
-A path is a pure function of the problem and its forced first term, and so
-are its model, probe verdict and score.  Each is therefore computed, probed
-and pooled once per search: a later iteration that seeds a term again only
-re-ranks the candidate it already has.  A pruned candidate is keyed by the
-terms it keeps, so winners that prune to the same set share the one
-selected from the first of them (Guo, Guo, Billings & Wei, "An iterative
-orthogonal forward regression algorithm", Int. J. Systems Science 2015).
+A candidate is keyed by its term set: only the first path, in run order,
+that ends on a set is built into a model, probed, free-run and pooled, and
+every later path or pruned winner that ends on the set is ranked as that
+record.  A path is a pure function of the problem and its forced first
+term, so a later iteration that seeds a term again only re-ranks the record
+its path reached (Guo, Guo, Billings & Wei, "An iterative orthogonal
+forward regression algorithm", Int. J. Systems Science 2015).
 
 No k-term candidate can score a BIC below ``bic_of(floor, n, k)``.  Once an
 iteration has scored a selectable candidate, a path that reaches the first
 length whose bound exceeds that BIC cannot win the iteration, so it is cut
 there (see :func:`_length_cap`): it is not built into a model, probed,
-free-run or pooled.  A later iteration that seeds it under a weaker bound
-runs it again.  The choice is the one the uncut search makes, to the bit.
+free-run or pooled, and its prefix never stands in for a set.  A later
+iteration that seeds it under a weaker bound runs it again.  The choice is
+the one the uncut search makes when it keeps each set's first record, but a
+path run again can find its set's record made since by another path.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ class PoolEntry:
 
 class ModelPool(tuple):
     """All candidate models scored by a search, stable or not: an immutable
-    tuple of :class:`PoolEntry` in the order their paths were first run.
-    Empty paths and paths cut at the BIC bound are not candidates.
+    tuple of :class:`PoolEntry`, one per distinct term set, in the order the
+    sets were first reached.  Empty and cut paths are not candidates.
 
     Unstable entries are retained for reporting but never selected.
     """
@@ -385,10 +387,10 @@ def iterative_ofr(
         )
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
-    # The candidate table: forced-first index or the sorted columns a pruned
-    # winner keeps -> its record; the pool is the records with a model, in
-    # the order their keys were first run.
-    table: dict[int | tuple[int, ...], PoolEntry] = {}
+    # The candidate table, which is the pool: sorted columns -> their first
+    # record; runs: forced-first index -> its set's record, or its own if empty or cut.
+    table: dict[tuple[int, ...], PoolEntry] = {}
+    runs: dict[int, PoolEntry] = {}
     winners: list[PoolEntry] = []
     converged = False
     n_evaluations = n_cut = 0
@@ -399,7 +401,7 @@ def iterative_ofr(
         best, cap = math.inf, None
         n_run, cut_before = 0, n_cut
         for index in seeds:
-            entry = table.get(index)
+            entry = runs.get(index)
             # run a path not run yet, or one cut under a stronger bound
             if entry is None or (
                 entry.outcome is Outcome.CUT and (cap is None or cap > len(entry.path.steps))
@@ -412,9 +414,13 @@ def iterative_ofr(
                 )
                 n_run += 1
                 n_evaluations += path.n_evaluated
-                entry = table[index] = _score_entry(
-                    path, data, problem, cfg, msse_floor, data_hash, cap
-                )
+                key = tuple(sorted(path.term_indices))
+                entry = table.get(key)
+                if entry is None or (cap is not None and len(path.steps) >= cap):
+                    entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash, cap)
+                    if entry.model is not None:
+                        table[key] = entry
+                runs[index] = entry
                 n_cut += entry.outcome is Outcome.CUT
             if entry.outcome is Outcome.SCORED and entry.bic < best:
                 best = entry.bic
@@ -423,7 +429,7 @@ def iterative_ofr(
             "iteration %d: %d paths run, %d cut, k_cap %s",
             iterations, n_run, n_cut - cut_before, None if cap is None else cap - 1,
         )
-        ranked = [e for e in (table[i] for i in seeds) if e.outcome is Outcome.SCORED]
+        ranked = [e for e in (runs[i] for i in seeds) if e.outcome is Outcome.SCORED]
         if not ranked:
             logger.debug("iteration %d produced no stable model", iterations)
             break
@@ -442,14 +448,13 @@ def iterative_ofr(
                 if entry.outcome is Outcome.SCORED and entry.bic <= winner.bic:
                     winner = entry
 
-        term_set = set(winner.path.term_indices)
-        converged = any(set(w.path.term_indices) == term_set for w in winners)
+        converged = any(w is winner for w in winners)
         winners.append(winner)
         if converged:
             break
         seeds = winner.path.term_indices
 
-    pool = ModelPool(e for e in table.values() if e.model is not None)
+    pool = ModelPool(table.values())
     if not winners:
         raise IdentificationError(
             "no stable candidate model in any iteration", pool=pool

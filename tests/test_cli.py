@@ -6,11 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import narxid.search
 from narxid import (
     LagSpec,
     Prbs,
     dc_motor_reference,
     generate_signal,
+    ofr_select,
     predict_one_step,
     simulate_free_run,
 )
@@ -68,6 +70,14 @@ class TestSynth:
         ])
         assert code == 1
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["2", "0", "-5"])
+    @pytest.mark.parametrize("case", ["dc-motor-white", "dc-motor-prbs", "dc-motor-multitone"])
+    def test_too_few_samples_is_a_config_error(self, tmp_path, capsys, case, n):
+        out = tmp_path / "short.csv"
+        assert main(["synth", "--case", case, "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 3, got {n}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--case", "dc-motor-white", "--seed", "-1"],
@@ -294,10 +304,24 @@ class TestIdentify:
         doc = json.loads((out / "report.json").read_text())
         assert (doc["chosen"], doc["narx"]) == ("ARX", None)
 
-    def test_validation_max_lag_beyond_record_exits_3(self, tmp_path, bench_csv, capsys):
-        cfg = write_config(tmp_path, bench_csv, validation_max_lag=60)
-        assert main(["identify", "--config", str(cfg)]) == 3
-        assert "out of range" in capsys.readouterr().err
+    def test_validation_max_lag_beyond_record_exits_3(
+        self, tmp_path, bench_csv, capsys, monkeypatch
+    ):
+        # no model leaves as many residuals as the 60 training samples, so
+        # the lag is rejected before any search runs
+        paths = []
+
+        def counting_select(*args, **kwargs):
+            paths.append(kwargs.get("forced_first"))
+            return ofr_select(*args, **kwargs)
+
+        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+        for max_lag in (60, 1000):
+            cfg = write_config(tmp_path, bench_csv, validation_max_lag=max_lag)
+            assert main(["identify", "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert "out of range" in err and f"validation_max_lag {max_lag}" in err
+        assert paths == []
 
     def test_reduced_dictionary_note_in_model_table(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)

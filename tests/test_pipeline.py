@@ -181,7 +181,8 @@ class TestIdentify:
 
     def test_no_probe_stable_nonlinear_model_keeps_the_linear_one(self):
         # every nonlinear candidate fails the probe; the stable linear model
-        # cannot be beaten by an empty pool, so it is the result
+        # cannot be beaten by an empty pool, so it is the result (the note
+        # counts candidates, one per distinct term set the paths end on)
         report = identify(noisy_prbs_data(seed=2), LagSpec(2, 2, 2, include_constant=True))
         assert report.chosen == "ARX"
         assert report.narx is None
@@ -190,7 +191,7 @@ class TestIdentify:
         assert report.chosen_model.bias != 0
         assert report.notes == (
             "nonlinear stage found no stable candidate, so the linear model is kept: "
-            "of 15 candidates, 3 diverged under the probe, 12 had probe variance "
+            "of 9 candidates, 2 diverged under the probe, 7 had probe variance "
             "above epsilon and 0 diverged on the training run",
         )
 
@@ -207,7 +208,7 @@ class TestIdentify:
         assert report.narx is None
         assert report.notes == (
             "nonlinear stage found no stable candidate, so the linear model is kept: "
-            "of 14 candidates, 12 diverged under the probe, 1 had probe variance "
+            "of 11 candidates, 9 diverged under the probe, 1 had probe variance "
             "above epsilon, 0 diverged on the training run and 1 had as many "
             "terms as fitted rows (BIC undefined)",
         )

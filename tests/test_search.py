@@ -337,25 +337,33 @@ class TestExactFitPruning:
 
 
 def reference_iterative_ofr(
-    dictionary, preselect, data, cfg=SearchConfig(), pool_iterations=None
+    dictionary, preselect, data, cfg=SearchConfig(), visits=None
 ):
     """The search loop without reuse or BIC bound: every seed's path, probe
-    and free run are computed again in every iteration that seeds it, and
-    every result is pooled.  ``iterative_ofr`` must choose exactly what this
-    loop chooses.  A ``pool_iterations`` list receives the (0-based)
-    iteration of each pool entry.
+    and free run are computed again in every iteration that seeds it.  The
+    first result, in run order, that ends on a term set is the set's record:
+    later results with that set are ranked as it, and the pool holds each
+    record once.  ``iterative_ofr`` must choose exactly what this loop
+    chooses.  A ``visits`` list receives a (record, 0-based iteration) pair
+    for every path and pruned re-selection that the loop scores.
     """
     problem = build_problem(data, dictionary)
     data_hash = data_fingerprint(data)
     msse_floor = noise_floor(problem.target)
     seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
     seen_sets = set()
-    pool = []
+    records = {}
     incumbent = incumbent_key = None
     n_evaluations = 0
     iteration_bics = []
     converged = False
     iterations = 0
+
+    def record(entry, iteration):
+        entry = records.setdefault(tuple(sorted(entry.path.term_indices)), entry)
+        if visits is not None:
+            visits.append((entry, iteration))
+        return entry
 
     for iteration in range(cfg.max_iterations):
         iterations = iteration + 1
@@ -380,9 +388,7 @@ def reference_iterative_ofr(
             entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
             if entry.outcome is Outcome.EMPTY:
                 continue
-            pool.append(entry)
-            if pool_iterations is not None:
-                pool_iterations.append(iteration)
+            entry = record(entry, iteration)
             if entry.outcome is not Outcome.SCORED:
                 continue
             key = (entry.bic, entry.model.n_terms, order)
@@ -403,9 +409,7 @@ def reference_iterative_ofr(
                     pruned, data, problem, cfg, msse_floor, data_hash
                 )
                 if entry.outcome is not Outcome.EMPTY:
-                    pool.append(entry)
-                    if pool_iterations is not None:
-                        pool_iterations.append(iteration)
+                    entry = record(entry, iteration)
                     if entry.outcome is Outcome.SCORED and entry.bic <= iteration_best.bic:
                         iteration_best = entry
                         iteration_best_key = (
@@ -427,10 +431,10 @@ def reference_iterative_ofr(
 
     if incumbent is None:
         raise IdentificationError(
-            "no stable candidate model in any iteration", pool=ModelPool(pool)
+            "no stable candidate model in any iteration", pool=ModelPool(records.values())
         )
     return SearchResult(
-        dictionary, ModelPool(pool), incumbent, iterations, n_evaluations,
+        dictionary, ModelPool(records.values()), incumbent, iterations, n_evaluations,
         converged, tuple(iteration_bics),
     )
 
@@ -450,9 +454,9 @@ def _dc_prbs():
     return IoData(u, dc_motor_reference(u))
 
 
-def _linear():
+def _linear(seed=90_000):
     # the criterion-9 system with output noise of std 0.1
-    rng = np.random.default_rng(90_000)
+    rng = np.random.default_rng(seed)
     u = rng.normal(size=400)
     clean = np.zeros(400)
     for t in range(2, 400):
@@ -464,6 +468,10 @@ def _multitone():
     # the exact-fit pruning record of TestExactFitPruning
     u = generate_signal(Multitone(length=1000, sample_period=0.1))
     return IoData(u[:200], dc_motor_reference(u)[:200])
+
+
+def _dc_white_194():
+    return benchmark_data(n=194, seed=1070)
 
 
 def _zero_input():
@@ -494,6 +502,11 @@ SEARCH_CASES = {
     # with these seeds the winner changes once more: three iterations
     "preselect": (_dc_white_noisy, [6, 0, 3, 11, 1], SearchConfig()),
     "preselect-one": (_dc_white_noisy, [12], SearchConfig()),
+    # iteration 1 scores the paths of u(t-2) (10 steps, with y(t-1)^2) and
+    # y(t-2)^2 (9 steps), then cuts the path of y(t-2)*u(t-1) at 10 steps,
+    # on u(t-2)'s set; iteration 2 cuts five more paths there: a cut path
+    # keeps its own record, even on a set that is pooled
+    "cut-on-pooled-set": (_dc_white_194, [3, 8, 9], SearchConfig()),
     "capped": (_dc_white_noisy, [12], SearchConfig(max_iterations=2)),
 }
 
@@ -510,21 +523,20 @@ def bits(model):
     return np.array([*model.coefficients, model.bias]).view(np.int64).tolist()
 
 
-def path_key(entry):
-    """What makes two pool entries repeats: a path's steps and stop reason,
-    or, for a pruned entry, the set it keeps (winners that prune to one set
-    share the entry of the first)."""
-    if pruned(entry):
-        return tuple(sorted(entry.path.term_indices))
-    return entry.path.term_indices, entry.path.stop_reason
+def term_set(entry):
+    """A record's key in the search's candidate table: its sorted columns."""
+    return tuple(sorted(entry.path.term_indices))
 
 
-def assert_matches_reference(dictionary, preselect, data, cfg):
+def assert_matches_reference(dictionary, preselect, data, cfg, run_order=True):
     """``iterative_ofr`` chooses what the reference loop chooses, and pools
-    what it pools, repeats dropped, less the paths its BIC bound cut."""
+    one record for each set the reference pools, less the sets that only
+    paths its BIC bound cut reach, with the reference's records.  With
+    ``run_order`` they are in the reference's order; a search that runs a
+    cut path again pools its set later than the reference does."""
     ours = iterative_ofr(dictionary, preselect, data, cfg)
-    pool_iterations = []
-    ref = reference_iterative_ofr(dictionary, preselect, data, cfg, pool_iterations)
+    visits = []
+    ref = reference_iterative_ofr(dictionary, preselect, data, cfg, visits)
     assert ours.best.model.terms == ref.best.model.terms
     assert bits(ours.best.model) == bits(ref.best.model)
     assert ours.best.msse == ref.best.msse
@@ -533,21 +545,23 @@ def assert_matches_reference(dictionary, preselect, data, cfg):
     assert ours.iterations == ref.iterations
     assert ours.converged == ref.converged
     assert ours.best.path.stop_reason == ref.best.path.stop_reason
-    # the pool is a subsequence of the reference pool with repeats dropped
-    first_seen = {}
-    for entry in ref.pool:
-        first_seen.setdefault(path_key(entry), entry)
-    keys = [path_key(e) for e in ours.pool]
-    remaining = iter(first_seen)
-    assert all(key in remaining for key in keys)
-    assert [e.model for e in ours.pool] == [first_seen[k].model for k in keys]
-    # and what it dropped was cut: in every iteration that seeded it, it is
+    # one record per set, and every set is one the reference pools
+    records = {term_set(e): e for e in ref.pool}
+    keys = [term_set(e) for e in ours.pool]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) <= set(records)
+    assert [e.model for e in ours.pool] == [records[k].model for k in keys]
+    if run_order:
+        # the pool is a subsequence of the reference pool
+        remaining = iter(records)
+        assert all(key in remaining for key in keys)
+    # and what it dropped was cut: in every iteration that reached it, it is
     # longer than the bound its iteration's winner allows, and scores worse
     problem = build_problem(data, dictionary)
     floor = noise_floor(problem.target)
-    dropped = set(first_seen) - set(keys)
-    for entry, iteration in zip(ref.pool, pool_iterations):
-        if path_key(entry) in dropped:
+    dropped = set(records) - set(keys)
+    for entry, iteration in visits:
+        if term_set(entry) in dropped:
             winner_bic = ref.iteration_bics[iteration]
             cap = _length_cap(winner_bic, floor, problem.n_rows)
             assert cap is not None and len(entry.path.steps) >= cap
@@ -558,36 +572,66 @@ def assert_matches_reference(dictionary, preselect, data, cfg):
 
 @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
 class TestSearchReuse:
-    """Each candidate is computed once per search unless the BIC bound cut
-    its path, and the choice is the one the loop without reuse makes."""
+    """Each distinct term set is computed once per search unless the BIC
+    bound cut the paths that reach it, and the choice is the one the loop
+    without reuse makes."""
 
     def test_matches_reference_loop(self, name):
-        run_case(name, assert_matches_reference)
+        # rerun: the reference pools the set of y(t-1)'s path in iteration 1,
+        # where the search cuts it; the search pools it in iteration 2, after
+        # iteration 1's pruned winner
+        search = functools.partial(assert_matches_reference, run_order=name != "rerun")
+        run_case(name, search)
+
+    def test_one_record_per_term_set(self, name):
+        keys = [term_set(e) for e in run_case(name, iterative_ofr).pool]
+        assert len(set(keys)) == len(keys)
 
     def test_each_path_and_probe_once(self, name, monkeypatch):
-        calls, probes = [], []
+        # caps[-1]: the length cap in force in the current iteration, from
+        # the bound's last result since the iteration's log line
+        calls, probes, outcomes, caps = [], [], {}, [None]
 
         def counting_select(problem, *args, **kwargs):
             path = ofr_select(problem, *args, **kwargs)
-            calls.append(((problem.dictionary.terms, kwargs["forced_first"]), kwargs, path))
+            key = problem.dictionary.terms, kwargs["forced_first"]
+            calls.append((key, kwargs, path, caps[-1]))
             return path
+
+        def recording_cap(*args):
+            caps.append(_length_cap(*args))
+            return caps[-1]
+
+        class IterationLog:
+            def debug(self, message, *args):
+                if "paths run" in message:
+                    caps.append(None)
 
         def counting_probe(model, *args, **kwargs):
             probes.append(model)
             return stability_probe(model, *args, **kwargs)
 
+        def recording_score(path, *args):
+            entry = _score_entry(path, *args)
+            outcomes[id(path)] = entry.outcome
+            return entry
+
         monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
         monkeypatch.setattr(narxid.search, "stability_probe", counting_probe)
+        monkeypatch.setattr(narxid.search, "_score_entry", recording_score)
+        monkeypatch.setattr(narxid.search, "_length_cap", recording_cap)
+        monkeypatch.setattr(narxid.search, "logger", IterationLog())
         result = run_case(name, iterative_ofr)
         # a cut path is a forced-first path (pruned re-selections pass stop)
-        # with steps that no pool entry holds; it reached the cap it ran under
-        pooled = {id(e.path) for e in result.pool}
+        # that reached the cap in force, whatever set it ends on; the search
+        # scored it as cut, and it ran under that cap
         cut = {
-            id(path) for _, kwargs, path in calls
-            if "stop" not in kwargs and path.steps and id(path) not in pooled
+            id(path) for _, kwargs, path, cap in calls
+            if "stop" not in kwargs and cap is not None and len(path.steps) >= cap
         }
+        assert cut == {i for i, outcome in outcomes.items() if outcome is Outcome.CUT}
         runs = {}
-        for key, kwargs, path in calls:
+        for key, kwargs, path, _ in calls:
             runs.setdefault(key, []).append(path)
             if id(path) in cut:
                 assert len(path.steps) == kwargs["max_terms"]
@@ -595,8 +639,36 @@ class TestSearchReuse:
         for paths in runs.values():
             assert all(id(p) in cut for p in paths[:-1])
         assert result.n_cut == len(cut)
+        # the record of a set is the first uncut path, in run order, that
+        # ends on it (None: a pruned re-selection, whose problem holds only
+        # its columns), and a set that a path reached is not re-selected
+        d = result.dictionary
+        first = {}
+        for (terms, _), kwargs, path, _ in calls:
+            if path.steps and id(path) not in cut:
+                columns = tuple(sorted(d.index(terms[i]) for i in path.term_indices))
+                if "stop" in kwargs:
+                    assert columns not in first
+                first.setdefault(columns, None if "stop" in kwargs else path)
+        assert list(first) == [term_set(e) for e in result.pool]
+        for entry in result.pool:
+            path = first[term_set(entry)]
+            assert pruned(entry) if path is None else entry.path is path
         assert len(probes) == len(result.pool)
-        assert result.n_evaluations == sum(path.n_evaluated for _, _, path in calls)
+        assert result.n_evaluations == sum(path.n_evaluated for _, _, path, _ in calls)
+
+
+@pytest.mark.parametrize("record", range(4))
+def test_linear_stage_pools_the_first_path_of_its_one_set(record):
+    # the linear records of the small-batch benchmark at seed 332: every
+    # forced-first path of the 4-term ARX dictionary ends on all 4 terms, so
+    # the stage has one candidate, the path forced by y(t-1); four records
+    # of one set would leave the winner to BIC differences of about 1e-15
+    data = _linear(seed=[332, record])
+    report = identify(data, LagSpec(2, 2, 2, include_constant=False))
+    (entry,) = report.arx.pool
+    assert entry.path.term_indices[0] == 0
+    assert report.arx.best is entry
 
 
 def derived_outcome(entry):
@@ -744,15 +816,21 @@ class TestBicBound:
         assert runs[:3] == [(11, None, 11), (0, 12, 12), (1, 12, 12)]
         assert runs[4:6] == [(0, None, 12), (1, 13, 12)]
         assert result.n_cut == 2
-        # the entries of the second runs take the places of the first
-        assert [e.path.term_indices[0] for e in result.pool[:3]] == [11, 0, 1]
+        # the second runs are pooled after iteration 1's pruned winner, and
+        # the paths of y(t-1) and y(t-2) end on one set, which one record holds
+        assert [(e.path.term_indices[0], pruned(e)) for e in result.pool] == [
+            (11, False), (0, True), (0, False), (6, False)
+        ]
 
     def test_huge_max_terms_cuts_like_the_default(self):
         huge = run_case("huge-max-terms", iterative_ofr)
         default = run_case("dc-white", iterative_ofr)
         assert huge.n_cut == default.n_cut > 0
         assert huge.n_evaluations == default.n_evaluations
-        assert [path_key(e) for e in huge.pool] == [path_key(e) for e in default.pool]
+        huge_paths, default_paths = (
+            [(e.path.term_indices, e.path.stop_reason) for e in r.pool] for r in (huge, default)
+        )
+        assert huge_paths == default_paths
         assert bits(huge.model) == bits(default.model)
 
     @pytest.mark.parametrize("name, cuts", [
