@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InsufficientDataError
+from .errors import ConfigError, DivergenceError, InsufficientDataError, check_integer
 from .simulation import DIVERGENCE_LIMIT
 from .terms import Factor, Signal, Term
 
@@ -88,14 +88,6 @@ def dc_motor_reference(u) -> np.ndarray:
     return y
 
 
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Reject a non-integer (a bool included) or one below ``minimum``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
 def _is_finite_number(value) -> bool:
     return (
         isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -110,8 +102,8 @@ class WhiteNoise:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("signal length", self.length, 1)
-        _check_integer("seed", self.seed, 0)
+        check_integer("signal length", self.length, 1)
+        check_integer("seed", self.seed, 0)
 
 
 # the multitone's (amplitude, angular frequency in rad/s) pairs, summed in
@@ -134,7 +126,7 @@ class Multitone:
     sample_period: float = 0.01
 
     def __post_init__(self):
-        _check_integer("signal length", self.length, 1)
+        check_integer("signal length", self.length, 1)
         if not (_is_finite_number(self.sample_period) and self.sample_period > 0):
             raise ConfigError(
                 f"sample_period must be positive and finite, got {self.sample_period!r}"
@@ -151,9 +143,9 @@ class Prbs:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("signal length", self.length, 1)
-        _check_integer("hold", self.hold, 1)
-        _check_integer("seed", self.seed, 0)
+        check_integer("signal length", self.length, 1)
+        check_integer("hold", self.hold, 1)
+        check_integer("seed", self.seed, 0)
         try:
             low, high = self.levels
         except (TypeError, ValueError):

@@ -35,6 +35,7 @@ from .errors import (
     IdentificationError,
     InsufficientDataError,
     NarxidError,
+    check_integer,
 )
 from .pipeline import check_lag_bound, identify
 from .search import SearchConfig
@@ -107,9 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     n = args.n
-    if n < 3:
-        # the DC-motor recursion reads two past samples
-        raise ConfigError(f"--n must be >= 3, got {n}")
+    # the DC-motor recursion reads two past samples
+    check_integer("--n", n, 3)
     if args.case == "dc-motor-white":
         u = generate_signal(WhiteNoise(length=n, seed=args.seed))
     elif args.case == "dc-motor-multitone":
@@ -141,16 +141,10 @@ def _run_config_from_args(args) -> tuple[RunConfig, LagSpec, SearchConfig]:
     check_lag_bound(spec)
     search_cfg = run.search_config()
     for name in ("validation_max_lag", "train_start", "train_end"):
-        _check_non_negative(getattr(run, name), name)
+        check_integer(name, getattr(run, name), 0)
     if run.train_end and run.train_end <= run.train_start:
         raise ConfigError(f"train_end {run.train_end} must be 0 or above train_start")
     return run, spec, search_cfg
-
-
-def _check_non_negative(value: int, name: str) -> None:
-    """Reject a negative lag or sample index before any data is read."""
-    if value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def _validate(model, data, max_lag: int) -> ValidationReport:
@@ -172,12 +166,14 @@ def _cmd_identify(args) -> int:
         raise ConfigError(
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
         )
-    # the residual tests need fewer lags than residuals, and no model
-    # leaves as many residuals as training samples
-    if run.validation_max_lag >= end - start:
+    # the residual tests need fewer lags than residuals (lag 0 picks such a
+    # range itself), and a model leaves at least the training samples less
+    # the spec's largest lag
+    residuals = end - start - spec.max_lag
+    if run.validation_max_lag and run.validation_max_lag >= residuals:
         raise DataError(
             f"validation_max_lag {run.validation_max_lag} out of range for "
-            f"{end - start} training samples"
+            f"{end - start} training samples less {spec.max_lag} lags"
         )
     train = data.slice(start, end)
     report = identify(train, spec, method=run.method, cfg=search_cfg)
@@ -215,7 +211,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _check_non_negative(args.max_lag, "--max-lag")
+    check_integer("--max-lag", args.max_lag, 0)
     model = load_model(args.model)
     data = ingest_csv(args.data, args.u_column, args.y_column)
     report = _validate(model, data, args.max_lag)

@@ -176,7 +176,7 @@ class RunConfig:
     n_b: int = 2
     degree: int = 2
     include_constant: bool = False
-    criterion: Criterion = Criterion.PRESS
+    criterion: Criterion = SearchConfig.criterion
     method: ReductionMethod = ReductionMethod.NONE
     max_iterations: int = SearchConfig.max_iterations
     epsilon: float = SearchConfig.epsilon

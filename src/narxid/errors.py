@@ -15,6 +15,16 @@ class ConfigError(NarxidError):
     """Invalid configuration: lag settings, run options, malformed config files."""
 
 
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Reject, as a :class:`ConfigError`, a ``value`` that is not a Python
+    ``int`` (a ``bool`` or numpy integer counts as none, so a setting stays
+    JSON-serializable) or that is below ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 class DataError(NarxidError):
     """Input data violates a contract (non-finite values, bad CSV cells, ...)."""
 

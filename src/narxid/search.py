@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IdentificationError, SingularityError
+from .errors import ConfigError, IdentificationError, SingularityError, check_integer
 from .ofr import (
     Criterion, SelectionPath, back_substitute, default_max_terms, noise_floor, ofr_select,
 )
@@ -94,22 +94,15 @@ class SearchConfig:
     max_terms: int | None = None
 
     def __post_init__(self):
-        integers = [("max_iterations", self.max_iterations)]
+        check_integer("max_iterations", self.max_iterations, 1)
         if self.max_terms is not None:
-            integers.append(("max_terms", self.max_terms))
-        for name, value in integers:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer("max_terms", self.max_terms, 1)
         if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
             raise ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
         if not isinstance(self.criterion, Criterion):
             raise ConfigError(f"criterion must be a Criterion, got {self.criterion!r}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 class Outcome(Enum):

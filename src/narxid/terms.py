@@ -18,7 +18,7 @@ from enum import IntEnum
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 
 __all__ = [
     "Signal",
@@ -158,9 +158,7 @@ class LagSpec:
 
     def __post_init__(self):
         for name in ("n_a", "n_b", "degree"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if not isinstance(self.include_constant, bool):
             raise ConfigError(f"include_constant must be a bool, got {self.include_constant!r}")
         if self.n_a < 0 or self.n_b < 0:

@@ -132,6 +132,7 @@ class TestPrbs:
     (lambda: generate_signal(object()), "unknown signal spec"),
     (lambda: WhiteNoise(5.5), "length must be an integer"),
     (lambda: WhiteNoise(True), "length must be an integer"),
+    (lambda: WhiteNoise(np.int64(5)), "length must be an integer"),
     (lambda: WhiteNoise(10, seed=-1), "seed must be >= 0"),
     (lambda: WhiteNoise(10, seed=2.5), "seed must be an integer"),
     (lambda: Multitone(5.0), "length must be an integer"),
@@ -149,7 +150,8 @@ class TestPrbs:
     (lambda: Prbs(10, levels=(0.0, "1")), "levels must be a pair of finite numbers"),
 ], ids=[
     "white-0", "multitone-0", "multitone-period-0", "prbs-0", "prbs-hold-0", "unknown-spec",
-    "white-float-length", "white-bool-length", "white-negative-seed", "white-float-seed",
+    "white-float-length", "white-bool-length", "white-numpy-length", "white-negative-seed",
+    "white-float-seed",
     "multitone-float-length", "multitone-period-nan", "multitone-period-inf",
     "multitone-period-str", "multitone-period-bool", "prbs-negative-seed", "prbs-float-seed",
     "prbs-bool-hold", "prbs-float-hold", "prbs-one-level", "prbs-scalar-levels",

@@ -307,8 +307,9 @@ class TestIdentify:
     def test_validation_max_lag_beyond_record_exits_3(
         self, tmp_path, bench_csv, capsys, monkeypatch
     ):
-        # no model leaves as many residuals as the 60 training samples, so
-        # the lag is rejected before any search runs
+        # a model leaves at least the 60 training samples less the spec's
+        # 2 lags as residuals, so a lag of 58 or more is rejected before any
+        # search runs
         paths = []
 
         def counting_select(*args, **kwargs):
@@ -316,7 +317,7 @@ class TestIdentify:
             return ofr_select(*args, **kwargs)
 
         monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
-        for max_lag in (60, 1000):
+        for max_lag in (58, 59, 60, 1000):
             cfg = write_config(tmp_path, bench_csv, validation_max_lag=max_lag)
             assert main(["identify", "--config", str(cfg)]) == 3
             err = capsys.readouterr().err

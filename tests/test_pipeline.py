@@ -311,12 +311,16 @@ class TestLagBound:
 @pytest.mark.parametrize("name, make", [
     ("criterion", lambda: SearchConfig(criterion="press")),
     ("max_terms", lambda: SearchConfig(max_terms=2.5)),
+    ("max_terms", lambda: SearchConfig(max_terms=np.int64(5))),
     ("epsilon", lambda: SearchConfig(epsilon="0.1")),
     ("max_iterations", lambda: SearchConfig(max_iterations=True)),
     ("method", lambda: identify(
         white_noise_benchmark(), LagSpec(2, 2, 2, include_constant=False), method="m2"
     )),
-], ids=["criterion-str", "max-terms-float", "epsilon-str", "max-iterations-bool", "method-str"])
+], ids=[
+    "criterion-str", "max-terms-float", "max-terms-numpy", "epsilon-str", "max-iterations-bool",
+    "method-str",
+])
 def test_wrong_value_type_fails_before_any_search(name, make, ofr_calls):
     # a wrongly typed setting is a ConfigError, raised before any OFR path runs
     with pytest.raises(ConfigError, match=f"^{name} must be "):

@@ -2,6 +2,7 @@
 
 import functools
 import logging
+import math
 import re
 
 import numpy as np
@@ -44,6 +45,7 @@ from narxid import (
 from narxid.errors import ConfigError, DivergenceError
 from narxid.ofr import noise_floor
 from narxid.search import (
+    _BIC_ROUNDING,
     _exact_fit_columns,
     _exact_fit_prune,
     _length_cap,
@@ -870,3 +872,19 @@ class TestBicBound:
             edge = np.nextafter(bic_of(floor, n, k_best), -np.inf)
             cap = _length_cap(edge, floor, n)
             assert cap is None or cap > k_best
+
+    @pytest.mark.parametrize("best, floor, n, cap, closed_form", [
+        (-1073775.845314504, 1.7513209783196401e-236, 1979, 70, 68),
+        (538.5042989420959, 0.7545919663248629, 10633, 381, 381),
+    ], ids=["raised", "lowered"])
+    def test_length_cap_corrections_match_a_linear_scan(
+        self, best, floor, n, cap, closed_form
+    ):
+        # on these inputs the closed-form k is off, so _length_cap's raising
+        # (first) or lowering (second) loop corrects it; a scan of every k
+        # against the same limit must agree
+        log_floor = float(np.log(floor + 1e-300))
+        limit = best + _BIC_ROUNDING * np.finfo(float).eps * (n * abs(log_floor) + abs(best))
+        assert math.floor((limit - n * log_floor) / math.log(n)) == closed_form
+        kept = [k for k in range(n) if bic_of(floor, n, k) <= limit]
+        assert _length_cap(best, floor, n) == kept[-1] + 1 == cap

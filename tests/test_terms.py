@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +86,7 @@ class TestLagSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_a": 2.5}, {"n_b": "2"}, {"n_b": True}, {"degree": True}, {"degree": 2.0},
-        {"include_constant": "no"}, {"include_constant": 1},
+        {"include_constant": "no"}, {"include_constant": 1}, {"n_a": np.int64(2)},
     ])
     def test_rejects_wrong_types(self, kwargs):
         values = dict({"n_a": 2, "n_b": 2, "degree": 2, "include_constant": False}, **kwargs)
