@@ -22,10 +22,10 @@ reduced model competes as one more candidate.
 A candidate is keyed by its term set: only the first path, in run order,
 that ends on a set is built into a model, probed, free-run and pooled, and
 every later path or pruned winner that ends on the set is ranked as that
-record.  A path is a pure function of the problem and its forced first
-term, so a later iteration that seeds a term again only re-ranks the record
-its path reached (Guo, Guo, Billings & Wei, "An iterative orthogonal
-forward regression algorithm", Int. J. Systems Science 2015).
+record.  A path depends on the problem, its forced first term and its
+length cap, and a capped path is a prefix of the uncapped one, so a later
+iteration that seeds a term again only re-ranks the record its uncut path
+reached (Guo, Guo, Billings & Wei, Int. J. Systems Science 2015).
 
 No k-term candidate can score a BIC below ``bic_of(floor, n, k)``.  Once an
 iteration has scored a selectable candidate, a path that reaches the first
@@ -49,7 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IdentificationError, SingularityError, check_integer
+from .errors import (
+    ConfigError, IdentificationError, InsufficientDataError, SingularityError, check_integer,
+)
 from .ofr import (
     Criterion, SelectionPath, back_substitute, default_max_terms, noise_floor, ofr_select,
 )
@@ -325,11 +327,11 @@ def _rank(entry: PoolEntry) -> tuple[float, int]:
     return entry.bic, entry.model.n_terms
 
 
-def _length_cap(best: float, msse_floor: float, n: int) -> int | None:
-    """The fewest path steps at which no candidate can score a BIC at or
-    below ``best`` on ``n`` rows: one more than the largest ``k`` with
-    ``bic_of(msse_floor, n, k)`` within rounding of ``best``.  None when
-    every ``k`` below ``n`` qualifies.
+def _length_cap(best: float, msse_floor: float, n: int, k_max: int) -> int | None:
+    """The first path length ``k``, at most ``k_max`` and below ``n``, whose
+    ``bic_of(msse_floor, n, k)`` exceeds ``best`` beyond rounding, so that
+    no ``k``-step candidate can score a BIC at or below ``best`` on ``n``
+    rows; None when no such length exists.
 
     A ``k``-step candidate's BIC is ``bic_of`` of an error clamped to at
     least ``msse_floor``, so exactly it is at least ``bic_of(msse_floor, n,
@@ -337,21 +339,15 @@ def _length_cap(best: float, msse_floor: float, n: int) -> int | None:
     the product and the sum: a few units of roundoff in ``n |ln floor|`` and
     in the BIC.  A length is kept unless its bound exceeds ``best`` by
     ``_BIC_ROUNDING`` such units, so a cut never rests on ``np.log`` being
-    monotone to the last bit.  ``k`` is found in closed form and corrected
-    by exact ``bic_of`` checks: on noisy records the bound admits hundreds
-    of lengths, too many to scan.
+    monotone to the last bit.  A path takes at most ``k_max`` steps (its
+    term cap or the dictionary size), so the scan is short.
     """
-    log_floor = float(np.log(msse_floor + 1e-300))
-    slack = _BIC_ROUNDING * np.finfo(float).eps * (n * abs(log_floor) + abs(best))
-    limit = best + slack
-    k = math.floor((limit - n * log_floor) / math.log(n))
-    while k + 1 < n and bic_of(msse_floor, n, k + 1) <= limit:
-        k += 1
-    if k + 1 >= n:
-        return None
-    while bic_of(msse_floor, n, k) > limit:
-        k -= 1
-    return k + 1
+    eps = np.finfo(float).eps
+    limit = best + _BIC_ROUNDING * eps * (abs(bic_of(msse_floor, n, 0)) + abs(best))
+    for k in range(1, min(k_max, n - 1) + 1):
+        if bic_of(msse_floor, n, k) > limit:
+            return k
+    return None
 
 
 def iterative_ofr(
@@ -363,15 +359,18 @@ def iterative_ofr(
     """Search orthogonalization paths seeded by ``preselect`` terms.
 
     ``preselect`` of None or empty seeds the first iteration with the whole
-    dictionary.  Raises :class:`IdentificationError` (carrying the pool)
-    when no iteration produces a stable candidate.
+    dictionary.  Raises :class:`InsufficientDataError` on one fitted row and
+    :class:`IdentificationError` (carrying the pool) when no iteration
+    produces a stable candidate.
     """
     problem = build_problem(data, dictionary)
+    n = problem.n_rows
+    if n < 2:  # build_problem leaves at least one
+        raise InsufficientDataError("only 1 fitted row: a BIC needs more fitted rows than terms")
     data_hash = data_fingerprint(data)
     msse_floor = noise_floor(problem.target)
-    n = problem.n_rows
-    # the length cap ofr_select applies when it is given none
-    max_terms = cfg.max_terms or default_max_terms(len(dictionary), n)
+    # the most steps a path can take: ofr_select's term cap, or the dictionary
+    k_max = min(cfg.max_terms or default_max_terms(len(dictionary), n), len(dictionary))
     try:
         # dictionary indices of the seed terms, in first-seen order
         seeds = (
@@ -403,7 +402,7 @@ def iterative_ofr(
                     problem,
                     criterion=cfg.criterion,
                     forced_first=index,
-                    max_terms=cfg.max_terms if cap is None else min(max_terms, cap),
+                    max_terms=cfg.max_terms if cap is None else cap,
                 )
                 n_run += 1
                 n_evaluations += path.n_evaluated
@@ -417,7 +416,7 @@ def iterative_ofr(
                 n_cut += entry.outcome is Outcome.CUT
             if entry.outcome is Outcome.SCORED and entry.bic < best:
                 best = entry.bic
-                cap = _length_cap(best, msse_floor, n)
+                cap = _length_cap(best, msse_floor, n, k_max)
         logger.debug(
             "iteration %d: %d paths run, %d cut, k_cap %s",
             iterations, n_run, n_cut - cut_before, None if cap is None else cap - 1,

@@ -324,6 +324,24 @@ class TestIdentify:
             assert "out of range" in err and f"validation_max_lag {max_lag}" in err
         assert paths == []
 
+    def test_one_fitted_row_exits_3_before_any_search(
+        self, tmp_path, bench_csv, capsys, monkeypatch
+    ):
+        # 3 training samples less the 2 lags leave one fitted row, and every
+        # candidate has a term: no BIC is defined, so no path runs
+        paths = []
+
+        def counting_select(*args, **kwargs):
+            paths.append(kwargs.get("forced_first"))
+            return ofr_select(*args, **kwargs)
+
+        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+        cfg = write_config(tmp_path, bench_csv, train_end=3)
+        with pytest.warns(UserWarning, match="only 1 usable rows"):
+            assert main(["identify", "--config", str(cfg)]) == 3
+        assert "a BIC needs more fitted rows than terms" in capsys.readouterr().err
+        assert paths == []
+
     def test_reduced_dictionary_note_in_model_table(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)
         assert main(["identify", "--config", str(cfg), "--method", "1"]) == 0

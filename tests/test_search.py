@@ -2,7 +2,6 @@
 
 import functools
 import logging
-import math
 import re
 
 import numpy as np
@@ -43,7 +42,7 @@ from narxid import (
     stability_probe,
 )
 from narxid.errors import ConfigError, DivergenceError
-from narxid.ofr import noise_floor
+from narxid.ofr import default_max_terms, noise_floor
 from narxid.search import (
     _BIC_ROUNDING,
     _exact_fit_columns,
@@ -561,11 +560,13 @@ def assert_matches_reference(dictionary, preselect, data, cfg, run_order=True):
     # longer than the bound its iteration's winner allows, and scores worse
     problem = build_problem(data, dictionary)
     floor = noise_floor(problem.target)
+    n = problem.n_rows
+    k_max = min(cfg.max_terms or default_max_terms(len(dictionary), n), len(dictionary))
     dropped = set(records) - set(keys)
     for entry, iteration in visits:
         if term_set(entry) in dropped:
             winner_bic = ref.iteration_bics[iteration]
-            cap = _length_cap(winner_bic, floor, problem.n_rows)
+            cap = _length_cap(winner_bic, floor, n, k_max)
             assert cap is not None and len(entry.path.steps) >= cap
             assert entry.bic > winner_bic
     assert ours.n_evaluations <= ref.n_evaluations
@@ -856,11 +857,13 @@ class TestBicBound:
     @pytest.mark.parametrize("floor", [1e-30, 1e-24, 1.0, 1e6])
     def test_length_cap_is_the_first_length_that_cannot_win(self, n, floor):
         # best: a k_best-term candidate with msse a factor e^(excess / n)
-        # above the floor, as _score_entry computes it
+        # above the floor, as _score_entry computes it; k_max = n puts no
+        # limit below n, and no length reaches n
         for k_best in (1, 9, 30):
             for excess in (0.0, 1e-9, 0.5, 3.0, 1e4):
                 best = bic_of(floor * np.exp(excess / n), n, k_best)
-                cap = _length_cap(best, floor, n)
+                cap = _length_cap(best, floor, n, n)
+                assert _length_cap(best, floor, n, 10 * n) == cap
                 if cap is None:
                     # every length below n is within rounding of best
                     assert bic_of(floor, n, n - 1) <= best + 1e-6 * abs(best)
@@ -868,23 +871,24 @@ class TestBicBound:
                 assert k_best < cap < n
                 assert bic_of(floor, n, cap) > best
                 assert bic_of(floor, n, cap - 1) <= best + 1e-9 * (abs(best) + 1.0)
+                # a first length beyond the longest path, k_max, cuts nothing
+                assert _length_cap(best, floor, n, cap) == cap
+                assert _length_cap(best, floor, n, cap - 1) is None
             # a length whose bound is above best by rounding only is kept
             edge = np.nextafter(bic_of(floor, n, k_best), -np.inf)
-            cap = _length_cap(edge, floor, n)
+            cap = _length_cap(edge, floor, n, n)
             assert cap is None or cap > k_best
 
-    @pytest.mark.parametrize("best, floor, n, cap, closed_form", [
-        (-1073775.845314504, 1.7513209783196401e-236, 1979, 70, 68),
-        (538.5042989420959, 0.7545919663248629, 10633, 381, 381),
-    ], ids=["raised", "lowered"])
-    def test_length_cap_corrections_match_a_linear_scan(
-        self, best, floor, n, cap, closed_form
-    ):
-        # on these inputs the closed-form k is off, so _length_cap's raising
-        # (first) or lowering (second) loop corrects it; a scan of every k
-        # against the same limit must agree
-        log_floor = float(np.log(floor + 1e-300))
-        limit = best + _BIC_ROUNDING * np.finfo(float).eps * (n * abs(log_floor) + abs(best))
-        assert math.floor((limit - n * log_floor) / math.log(n)) == closed_form
+    @pytest.mark.parametrize("best, floor, n, cap", [
+        (-1073775.845314504, 1.7513209783196401e-236, 1979, 70),
+        (538.5042989420959, 0.7545919663248629, 10633, 381),
+    ], ids=["near-exact", "noisy"])
+    def test_length_cap_matches_a_scan_of_every_length(self, best, floor, n, cap):
+        # inputs near the edge of rounding, on which a closed-form inverse of
+        # the bound is off by two (first) and by one (second)
+        limit = best + _BIC_ROUNDING * np.finfo(float).eps * (
+            abs(bic_of(floor, n, 0)) + abs(best)
+        )
         kept = [k for k in range(n) if bic_of(floor, n, k) <= limit]
-        assert _length_cap(best, floor, n) == kept[-1] + 1 == cap
+        assert _length_cap(best, floor, n, n) == kept[-1] + 1 == cap
+        assert _length_cap(best, floor, n, cap - 1) is None
