@@ -11,6 +11,7 @@ error, 3 data or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -41,7 +42,7 @@ from .pipeline import check_lag_bound, identify
 from .search import SearchConfig
 from .simulation import predict_one_step, simulate_free_run
 from .terms import LagSpec
-from .validation import ValidationReport, residual_tests
+from .validation import MIN_RESIDUALS, ValidationReport, residual_tests
 
 SYNTH_CASES = ("dc-motor-white", "dc-motor-multitone", "dc-motor-prbs")
 
@@ -58,6 +59,9 @@ _FLAG_HELP = {
 }
 
 
+# built once per process: parse_args reads the parser and leaves it as it
+# was, and every call gets a fresh namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="narxid",
@@ -165,6 +169,12 @@ def _cmd_identify(args) -> int:
     if not start < end <= len(data):
         raise ConfigError(
             f"train range [{start}, {end}) invalid for record of length {len(data)}"
+        )
+    # every model has a lag of at least 1
+    if end - start <= MIN_RESIDUALS:
+        raise InsufficientDataError(
+            f"train range [{start}, {end}) leaves at most {end - start - 1} "
+            f"residuals; the residual tests need {MIN_RESIDUALS}"
         )
     # the residual tests need fewer lags than residuals (lag 0 picks such a
     # range itself), and a model leaves at least the training samples less

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, LeverageError, SingularityError
-from .regression import RANK_TOL, RegressionProblem
+from .regression import RegressionProblem
 
 __all__ = [
     "Criterion",
@@ -66,14 +66,16 @@ _EPS = float(np.finfo(float).eps)
 
 # A PRESS step bounds its candidates' PRESS before scoring them only when
 # the scoring block holds at least this many elements (rows x usable
-# candidates): below it the bound's extra numpy calls cost more than the
-# explicit columns it saves.  On the benchmark's small-batch workload
-# (12 identify calls on 58- to 398-row records, 2-core x86-64, OpenBLAS),
-# bounding every block instead raised wall_ref_s by 5.5% and cpu_ref_s by
-# 7.2% in the median of 8 alternating pairs, slower in 7 and 8 of them
-# (BENCH_26.json, "gate_runs").  Per path, scoring every candidate in one
-# call took 0.77 times as long as bounded scoring on 58-row records and
-# 1.14 times on 398-row ones.  See _press_scores.
+# candidates): below it the bound's extra numpy calls cost at least what
+# the explicit columns it saves do.  On the benchmark's small-batch
+# workload (12 identify calls on 58- to 398-row records, 2-core x86-64,
+# OpenBLAS), bounding every block instead raised wall_ref_s by 1.2% and
+# cpu_ref_s by 1.3% in the median of 8 alternating pairs, slower in 5 and
+# 6 of them, within the runs' spread (BENCH_31.json, "gate_runs"; 5.5% and
+# 7.2% before the step's per-call overhead was cut, BENCH_26.json).  Per
+# path, scoring every candidate in one call took 0.80 times as long as
+# bounded scoring on 58-row records and 1.09 times on 398-row ones.  See
+# _press_scores.
 _BOUND_MIN_BLOCK = 2**12
 
 
@@ -224,15 +226,15 @@ def ofr_select(
         raise ValueError(f"forced_first index {forced_first} out of range")
     press = criterion is Criterion.PRESS
     path = _Path(problem, max_terms)
-    cand_ss = path.orig_ss.copy()
-    cand_proj = problem.target @ phi
+    cand_ss = problem.col_ss.copy()
+    cand_proj = problem.target_proj.copy()
     floor = noise_floor(problem.target)
     n_evaluated = 0
     stop_reason = "max_terms"
 
     while len(path.steps) < max_terms:
-        usable = path.available & (cand_ss > path.rank_floor)
-        idx = np.where(usable)[0]
+        usable = path.available & (cand_ss > problem.rank_floor)
+        idx = usable.nonzero()[0]
         if not idx.size:
             stop_reason = "no usable candidates (rank tolerance)"
             break
@@ -254,7 +256,7 @@ def ofr_select(
                     stop_reason = "PRESS increase"
                     break
             else:
-                j = int(np.argmax(cand_proj[idx] ** 2 / (cand_ss[idx] * path.yy)))
+                j = int((cand_proj[idx] ** 2 / (cand_ss[idx] * problem.target_ss)).argmax())
             # columns equal bit for bit score differently in the last bits
             # (a BLAS product rounds a column by where it sits in phi), so
             # the lowest index is taken as for any other tie
@@ -281,8 +283,8 @@ def ofr_select(
             # dictionaries.  Selected columns get a zero coefficient, which
             # keeps the record triangular; their norms are never read again.
             d = w @ phi - (path.w_rows[:k] @ w) @ path.acc[:k]
-            coeffs = np.where(path.available, d / ws, 0.0)
-            path.acc[k] = coeffs
+            # row k of acc is still zero, which selected columns keep
+            coeffs = np.divide(d, ws, out=path.acc[k], where=path.available)
             cand_ss -= coeffs * d
             cand_proj -= coeffs * wy
 
@@ -291,27 +293,23 @@ def ofr_select(
 
 class _Path:
     """What a path records as it takes columns: the orthogonal columns, the
-    residual and leverage of the fit so far, the steps, and ``acc[i, c]``,
-    the coefficient of the i-th orthogonal column in the expansion of
-    candidate column c (the triangular record)."""
+    residual and leverage of the fit so far (with ``1 - leverage``), the
+    steps, and ``acc[i, c]``, the coefficient of the i-th orthogonal column
+    in the expansion of candidate column c (the triangular record)."""
 
     def __init__(self, problem: RegressionProblem, max_terms: int):
-        phi = problem.phi
-        n_rows, n_cols = phi.shape
-        self.target = problem.target
-        self.yy = float(self.target @ self.target)
-        if self.yy == 0.0:
+        n_rows, n_cols = problem.phi.shape
+        self.problem = problem
+        if problem.target_ss == 0.0:
             raise DataError("target is zero; its ERR is undefined")
-        self.orig_ss = np.einsum("ij,ij->j", phi, phi)
-        self.orig_norm = np.sqrt(self.orig_ss)
-        self.rank_floor = RANK_TOL * self.orig_ss
         # a path selects at most n_cols terms, whatever max_terms says
         k_max = min(max_terms, n_cols)
         self.w_rows = np.empty((k_max, n_rows))  # orthogonal column i in row i
         self.w_ss: list[float] = []
         self.acc = np.zeros((k_max, n_cols))
-        self.resid = self.target.astype(float, copy=True)
+        self.resid = problem.target.astype(float, copy=True)
         self.leverage = np.zeros(n_rows)
+        self.one_less_leverage = np.ones(n_rows)
         self.available = np.ones(n_cols, dtype=bool)
         self.steps: list[PathStep] = []
 
@@ -323,8 +321,9 @@ class _Path:
         pass, in place, with the corrections folded into the record.
         """
         k = len(self.steps)
+        problem = self.problem
         ws = float(w @ w)
-        if ws * _REORTH_RATIO**2 < self.orig_ss[best]:
+        if ws * _REORTH_RATIO**2 < problem.col_ss[best]:
             for i in range(k):
                 c = float(self.w_rows[i] @ w) / self.w_ss[i]
                 w -= c * self.w_rows[i]
@@ -332,13 +331,14 @@ class _Path:
             ws = float(w @ w)
 
         g = float(self.resid @ w) / ws
-        wy = float(w @ self.target)
-        err = wy**2 / (ws * self.yy)
+        wy = float(w @ problem.target)
+        err = wy**2 / (ws * problem.target_ss)
         self.resid = self.resid - g * w
         self.leverage = self.leverage + w**2 / ws
-        denom = 1.0 - self.leverage
-        if np.all(denom >= LEVERAGE_GUARD):
-            ms_press = float(np.mean((self.resid / denom) ** 2))
+        denom = self.one_less_leverage = 1.0 - self.leverage
+        # np.mean's sum and division without its Python wrapper
+        if denom.min() >= LEVERAGE_GUARD:
+            ms_press = float(np.add.reduce((self.resid / denom) ** 2) / denom.size)
         else:
             ms_press = float("inf")
 
@@ -386,10 +386,13 @@ def _press_scores(
     press = np.full(idx.size, np.inf)
     press[j0] = _score_press(path, phi, idx[j0 : j0 + 1], g[j0 : j0 + 1], ss[j0 : j0 + 1])[0]
     # if that candidate is rejected, its PRESS is inf and every column is scored
-    gphi = np.abs(g) * path.orig_norm[idx]
-    keep = bound <= _bound_threshold(phi.shape[0], len(path.steps), press[j0], rr, path.yy, gphi)
+    problem = path.problem
+    gphi = np.abs(g) * problem.col_norm[idx]
+    keep = bound <= _bound_threshold(
+        phi.shape[0], len(path.steps), press[j0], rr, problem.target_ss, gphi
+    )
     keep[j0] = False
-    kept = np.where(keep)[0]
+    kept = keep.nonzero()[0]
     if kept.size:
         press[kept] = _score_press(path, phi, idx[kept], g[kept], ss[kept])
     return press
@@ -455,11 +458,11 @@ def _score_press(
     deleted_num = path.resid - w * g[:, None]
     deleted_den = np.square(w, out=w)
     deleted_den /= ss[:, None]
-    np.subtract(1.0 - path.leverage, deleted_den, out=deleted_den)
+    np.subtract(path.one_less_leverage, deleted_den, out=deleted_den)
     rejected = (deleted_den < LEVERAGE_GUARD).any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         deleted_num /= deleted_den
         deleted_num *= deleted_num
-        press = np.mean(deleted_num, axis=1)
+        press = np.add.reduce(deleted_num, axis=1) / deleted_num.shape[1]
     press[rejected] = np.inf
     return press

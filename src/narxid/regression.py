@@ -113,6 +113,40 @@ class RegressionProblem:
             twins[c] = next((j for j in same if np.array_equal(bits[:, j], bits[:, c])), c)
         return twins
 
+    # per-problem constants every selection path reads, computed once on
+    # first use and read-only, like first_twins
+
+    @cached_property
+    def col_ss(self) -> np.ndarray:
+        """Each column's squared norm."""
+        return _read_only(np.einsum("ij,ij->j", self.phi, self.phi))
+
+    @cached_property
+    def col_norm(self) -> np.ndarray:
+        """Each column's norm."""
+        return _read_only(np.sqrt(self.col_ss))
+
+    @cached_property
+    def rank_floor(self) -> np.ndarray:
+        """The orthogonalized squared norm at or below which each column
+        counts as dependent: ``RANK_TOL`` times its squared norm."""
+        return _read_only(RANK_TOL * self.col_ss)
+
+    @cached_property
+    def target_proj(self) -> np.ndarray:
+        """Each column's product with the target."""
+        return _read_only(self.target @ self.phi)
+
+    @cached_property
+    def target_ss(self) -> float:
+        """The target's squared norm."""
+        return float(self.target @ self.target)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
     """Assemble the regression problem for ``dictionary`` over ``data``.

@@ -29,6 +29,9 @@ from .errors import DataError
 
 __all__ = ["CorrelationTest", "ValidationReport", "residual_tests"]
 
+# the fewest residuals the suite runs on
+MIN_RESIDUALS = 4
+
 
 @dataclass(frozen=True)
 class CorrelationTest:
@@ -113,8 +116,8 @@ def residual_tests(residuals, u, max_lag: int | None = None) -> ValidationReport
     if residuals.ndim != 1 or u.ndim != 1 or len(residuals) != len(u):
         raise DataError("residuals and input must be aligned 1-D arrays")
     L = len(residuals)
-    if L < 4:
-        raise DataError("need at least 4 samples for residual tests")
+    if L < MIN_RESIDUALS:
+        raise DataError(f"need at least {MIN_RESIDUALS} samples for residual tests")
     if max_lag is None:
         max_lag = min(25, L // 4)
     if not (1 <= max_lag < L):

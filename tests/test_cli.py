@@ -31,6 +31,18 @@ def bench_csv(tmp_path):
     return path
 
 
+def count_ofr_select(monkeypatch):
+    """The forced first term of every path the search runs from now on."""
+    paths = []
+
+    def counting_select(*args, **kwargs):
+        paths.append(kwargs.get("forced_first"))
+        return ofr_select(*args, **kwargs)
+
+    monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+    return paths
+
+
 def write_config(tmp_path, data_path, **extra):
     lines = [
         f"data = {data_path}",
@@ -310,13 +322,7 @@ class TestIdentify:
         # a model leaves at least the 60 training samples less the spec's
         # 2 lags as residuals, so a lag of 58 or more is rejected before any
         # search runs
-        paths = []
-
-        def counting_select(*args, **kwargs):
-            paths.append(kwargs.get("forced_first"))
-            return ofr_select(*args, **kwargs)
-
-        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
+        paths = count_ofr_select(monkeypatch)
         for max_lag in (58, 59, 60, 1000):
             cfg = write_config(tmp_path, bench_csv, validation_max_lag=max_lag)
             assert main(["identify", "--config", str(cfg)]) == 3
@@ -327,20 +333,43 @@ class TestIdentify:
     def test_one_fitted_row_exits_3_before_any_search(
         self, tmp_path, bench_csv, capsys, monkeypatch
     ):
-        # 3 training samples less the 2 lags leave one fitted row, and every
+        # 5 training samples less the 4 lags leave one fitted row, and every
         # candidate has a term: no BIC is defined, so no path runs
-        paths = []
-
-        def counting_select(*args, **kwargs):
-            paths.append(kwargs.get("forced_first"))
-            return ofr_select(*args, **kwargs)
-
-        monkeypatch.setattr(narxid.search, "ofr_select", counting_select)
-        cfg = write_config(tmp_path, bench_csv, train_end=3)
+        paths = count_ofr_select(monkeypatch)
+        cfg = write_config(tmp_path, bench_csv, train_end=5)
         with pytest.warns(UserWarning, match="only 1 usable rows"):
-            assert main(["identify", "--config", str(cfg)]) == 3
+            assert main(["identify", "--config", str(cfg), "--na", "4", "--nb", "4"]) == 3
         assert "a BIC needs more fitted rows than terms" in capsys.readouterr().err
         assert paths == []
+
+    @pytest.mark.parametrize("train_end", [2, 3, 4])
+    def test_training_range_too_short_for_the_residual_tests_exits_3_before_any_search(
+        self, tmp_path, bench_csv, capsys, monkeypatch, train_end
+    ):
+        # every model has a lag of at least 1, so 4 training samples leave
+        # at most 3 residuals, one short of what the residual tests need
+        paths = count_ofr_select(monkeypatch)
+        cfg = write_config(tmp_path, bench_csv, train_end=train_end)
+        assert main(["identify", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: train range [0, {train_end}) leaves at most {train_end - 1} "
+            "residuals; the residual tests need 4\n"
+        )
+        assert paths == []
+
+    def test_five_training_samples_can_fail_after_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # on this record the chosen model's lag of 2 leaves 3 residuals: only
+        # the search knows that lag, so the range fails after it
+        data = tmp_path / "d.csv"
+        assert main(["synth", "--case", "dc-motor-white", "--n", "200", "--out", str(data)]) == 0
+        paths = count_ofr_select(monkeypatch)
+        cfg = write_config(tmp_path, data, train_end=5)
+        with pytest.warns(UserWarning, match="only 3 usable rows"):
+            assert main(["identify", "--config", str(cfg)]) == 3
+        assert "need at least 4 samples for residual tests" in capsys.readouterr().err
+        assert paths
 
     def test_reduced_dictionary_note_in_model_table(self, tmp_path, bench_csv):
         cfg = write_config(tmp_path, bench_csv)
@@ -537,3 +566,56 @@ class TestDeterminism:
             doc.pop("timings")
             reports.append(json.dumps(doc, sort_keys=True))
         assert reports[0] == reports[1]
+
+
+class TestParserReuse:
+    # one run of every subcommand, with flags that a later call leaves at
+    # their defaults, and a usage error between them
+    ARGVS = [
+        ["synth", "--case", "dc-motor-prbs", "--n", "300", "--seed", "3", "--prbs-hold", "4",
+         "--out", "prbs.csv"],
+        ["synth", "--case", "dc-motor-white", "--n", "200", "--out", "white.csv"],
+        ["identify", "--data", "white.csv", "--train-end", "60", "--degree", "1",
+         "--criterion", "err", "--out", "arx"],
+        ["identify", "--data", "white.csv", "--train-end", "60", "--out", "narx"],
+        ["identify", "--data", "white.csv", "--bogus"],
+        ["simulate", "--model", "narx/model.json", "--data", "prbs.csv", "--one-step",
+         "--out", "one-step.csv"],
+        ["simulate", "--model", "narx/model.json", "--data", "prbs.csv", "--out", "free.csv"],
+        ["validate", "--model", "arx/model.json", "--data", "white.csv", "--max-lag", "5",
+         "--out", "val5"],
+        ["validate", "--model", "arx/model.json", "--data", "white.csv", "--out", "val"],
+        ["identify", "--data", "white.csv", "--train-end", "4"],
+    ]
+
+    @staticmethod
+    def run_all(root, capsys, monkeypatch, fresh):
+        """Each call's exit code and output, and every file the calls wrote
+        (a report without its timings)."""
+        root.mkdir()
+        monkeypatch.chdir(root)
+        _build_parser.cache_clear()
+        results = []
+        for argv in TestParserReuse.ARGVS:
+            if fresh:
+                _build_parser.cache_clear()
+            results.append((main(argv), capsys.readouterr()))
+        files = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            text = path.read_text()
+            if path.name == "report.json":
+                doc = json.loads(text)
+                doc.pop("timings")
+                text = json.dumps(doc)
+            files[str(path.relative_to(root))] = text
+        return results, files
+
+    def test_successive_calls_match_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        fresh = self.run_all(tmp_path / "fresh", capsys, monkeypatch, fresh=True)
+        reused = self.run_all(tmp_path / "reused", capsys, monkeypatch, fresh=False)
+        assert _build_parser.cache_info().misses == 1
+        assert [code for code, _ in fresh[0]] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 3]
+        assert reused == fresh
+        assert json.loads(fresh[1]["arx/report.json"])["narx"] is None
+        assert json.loads(fresh[1]["narx/report.json"])["narx"] is not None
+        assert json.loads(fresh[1]["val5/validation.json"]) != json.loads(fresh[1]["val/validation.json"])

@@ -32,6 +32,7 @@ from narxid.ofr import (
     LEVERAGE_GUARD,
     _BOUND_MIN_BLOCK,
     _bound_threshold,
+    _press_scores,
     _score_press,
     PathStep,
     SelectionPath,
@@ -1119,10 +1120,10 @@ class TestPressKernelNumerics:
             g = proj / ss
             press = _score_press(path, phi, idx, g, ss)
             rr = float(np.einsum("i,i->", path.resid, path.resid))
-            gphi = np.abs(g) * np.sqrt(path.orig_ss[idx])
+            gphi = np.abs(g) * problem.col_norm[idx]
             finite = np.isfinite(press)
             threshold = _bound_threshold(
-                n_rows, len(path.steps), press[finite], rr, path.yy, gphi[finite]
+                n_rows, len(path.steps), press[finite], rr, problem.target_ss, gphi[finite]
             )
             assert np.all((rr - proj * g)[finite] <= threshold)
             n_scored += int(finite.sum())
@@ -1132,3 +1133,82 @@ class TestPressKernelNumerics:
             scored_all = ofr_select(problem, Criterion.PRESS, stop=stop)
         assert n_scored or not scored_all.n_evaluated
         assert path_bits(bounded_ofr_select(problem, Criterion.PRESS, stop=stop)) == path_bits(scored_all)
+
+
+def float_bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+class TestPositionIndependence:
+    """The residual bound scores a candidate alone, a few together or the
+    whole block, so ``_score_press`` must give each candidate's PRESS the
+    same bits wherever it sits in the call, and the path must read the same
+    per-problem constants the per-path formulas gave."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(4, 80),
+        n_cols=st.integers(2, 16),
+        exact=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        data=st.data(),
+    )
+    def test_press_alone_equals_its_entry_in_the_block_and_in_a_subset(
+        self, seed, n_rows, n_cols, exact, scale, data
+    ):
+        # every step of a random path is a path state: the candidates are
+        # scored in full, one at a time, and in a random subset in random
+        # order before the kernel's own scoring goes on
+        rng = np.random.default_rng(seed)
+        phi = scale * rng.normal(size=(n_rows, n_cols))
+        target = phi[:, : max(1, n_cols // 2)] @ rng.normal(size=max(1, n_cols // 2))
+        if not exact:
+            target += 0.1 * scale * rng.normal(size=n_rows)
+        problem = fake_problem(phi, target)
+        forced = data.draw(st.none() | st.integers(0, n_cols - 1), label="forced_first")
+        n_checked = 0
+
+        def check_then_score(path, phi, idx, ss, proj):
+            nonlocal n_checked
+            g = proj / ss
+            block = _score_press(path, phi, idx, g, ss)
+            for j in range(idx.size):
+                alone = _score_press(path, phi, idx[j : j + 1], g[j : j + 1], ss[j : j + 1])
+                assert float_bits(alone) == float_bits(block[j : j + 1])
+            pick = rng.permutation(idx.size)[: rng.integers(1, idx.size + 1)]
+            subset = _score_press(path, phi, idx[pick], g[pick], ss[pick])
+            assert float_bits(subset) == float_bits(block[pick])
+            n_checked += idx.size
+            return _press_scores(path, phi, idx, ss, proj)
+
+        with mock.patch("narxid.ofr._press_scores", check_then_score):
+            path = ofr_select(problem, Criterion.PRESS, forced_first=forced, stop=False)
+        assert n_checked == path.n_evaluated
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [binary_prbs_problem, noise_free_cubic_problem, ill_conditioned_cubic_problem],
+    )
+    def test_per_problem_constants_are_read_only_and_equal_the_per_path_formulas(
+        self, make_problem
+    ):
+        problem = make_problem()
+        phi, target = problem.phi, problem.target
+        col_ss = np.einsum("ij,ij->j", phi, phi)
+        expected = {
+            "col_ss": col_ss,
+            "col_norm": np.sqrt(col_ss),
+            "rank_floor": RANK_TOL * col_ss,
+            "target_proj": target @ phi,
+        }
+        for name, value in expected.items():
+            constant = getattr(problem, name)
+            assert getattr(problem, name) is constant  # computed once
+            assert float_bits(constant) == float_bits(value), name
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 1.0
+        assert float_bits(problem.target_ss) == float_bits(float(target @ target))
+        assert path_bits(ofr_select(problem, Criterion.PRESS)) == path_bits(
+            ofr_select(make_problem(), Criterion.PRESS)
+        )
