@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, LeverageError, SingularityError
-from .regression import RegressionProblem
+from .regression import RegressionProblem, noise_floor
 
 __all__ = [
     "Criterion",
@@ -53,10 +53,6 @@ LEVERAGE_GUARD = 1e-8
 
 # An ERR path stops once its cumulative ERR reaches this.
 ERR_TOTAL = 1.0 - 1e-6
-
-# Mean squares below this fraction of the target's mean square are
-# floating-point noise: see noise_floor.
-MSSE_FLOOR_REL = 1e-24
 
 # One re-orthogonalization pass when the orthogonalized norm has dropped by
 # more than this factor relative to the source column.
@@ -115,16 +111,6 @@ class SelectionPath:
 def default_max_terms(n_terms: int, n_rows: int) -> int:
     """Identifiability guard: at most a quarter of the rows, capped at 30."""
     return max(1, min(n_terms, n_rows // 4, 30))
-
-
-def noise_floor(target: np.ndarray) -> float:
-    """The mean square at or below which an error on ``target`` is
-    numerically zero: ``MSSE_FLOOR_REL`` times the target's mean square.
-
-    A PRESS path stops there, and the search clamps free-run errors to it
-    and prunes exact fits against it, so all three read the same bits.
-    """
-    return MSSE_FLOOR_REL * float(np.mean(target**2))
 
 
 def err_of(w: np.ndarray, target: np.ndarray) -> float:
@@ -228,7 +214,6 @@ def ofr_select(
     path = _Path(problem, max_terms)
     cand_ss = problem.col_ss.copy()
     cand_proj = problem.target_proj.copy()
-    floor = noise_floor(problem.target)
     n_evaluated = 0
     stop_reason = "max_terms"
 
@@ -267,7 +252,7 @@ def ofr_select(
         k = len(path.steps)
         w = phi[:, best] - path.acc[:k, best] @ path.w_rows[:k]
         ws, wy = path.take(best, w)
-        if stop and press and path.steps[-1].ms_press <= floor:
+        if stop and press and path.steps[-1].ms_press <= problem.msse_floor:
             stop_reason = "PRESS floor"
             break
         if stop and not press and sum(s.err for s in path.steps) >= ERR_TOTAL:

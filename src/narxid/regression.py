@@ -24,6 +24,9 @@ __all__ = ["IoData", "RegressionProblem", "build_problem", "least_squares", "ter
 # fraction of its original squared norm is treated as linearly dependent.
 RANK_TOL = 1e-10
 
+# Mean squares below this fraction of the target's mean square are noise: see noise_floor.
+MSSE_FLOOR_REL = 1e-24
+
 
 @dataclass(frozen=True)
 class IoData:
@@ -53,6 +56,16 @@ class IoData:
                 f"sample range [{start}, {stop}) outside record of length {len(self)}"
             )
         return IoData(self.u[start:stop], self.y[start:stop])
+
+
+def noise_floor(target: np.ndarray) -> float:
+    """The mean square at or below which an error on ``target`` is
+    numerically zero: ``MSSE_FLOOR_REL`` times the target's mean square.
+
+    A PRESS path stops there, and the search clamps free-run errors to it
+    and prunes exact fits against it, so all three read the same bits.
+    """
+    return MSSE_FLOOR_REL * float(np.mean(target**2))
 
 
 def term_columns(terms: Sequence[Term], u: np.ndarray, y: np.ndarray, offset: int) -> np.ndarray:
@@ -142,6 +155,11 @@ class RegressionProblem:
         """The target's squared norm."""
         return float(self.target @ self.target)
 
+    @cached_property
+    def msse_floor(self) -> float:
+        """The target's :func:`noise_floor`."""
+        return noise_floor(self.target)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -190,9 +208,7 @@ def least_squares(
     :class:`SingularityError` naming the first column whose orthogonalized
     squared norm falls below ``RANK_TOL`` times its original squared norm.
     """
-    if selected is None:
-        selected = range(problem.n_terms)
-    selected = list(selected)
+    selected = list(range(problem.n_terms) if selected is None else selected)
     A = problem.phi[:, selected]
     if A.shape[1] == 0:
         return np.empty(0)

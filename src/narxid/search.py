@@ -10,7 +10,7 @@ the iteration cap is reached.
 
 Model scoring is deterministic: BIC ties break toward fewer terms, then
 toward the earlier seed position.  Free-run errors below the numerical
-floor (:func:`narxid.ofr.noise_floor`, relative to the output scale) are
+floor (``RegressionProblem.msse_floor``, relative to the output scale) are
 clamped before ranking so that parsimony, not floating-point noise, decides
 between models that are all numerically exact.  It is the floor at which
 ``ofr_select`` ends a PRESS path (stop reason ``"PRESS floor"``), so a path
@@ -19,13 +19,13 @@ helped when it was selected and that later terms made redundant.  When an
 iteration's winner fits to within the floor, such terms are pruned and the
 reduced model competes as one more candidate.
 
-A candidate is keyed by its term set: only the first path, in run order,
-that ends on a set is built into a model, probed, free-run and pooled, and
-every later path or pruned winner that ends on the set is ranked as that
-record.  A path depends on the problem, its forced first term and its
-length cap, and a capped path is a prefix of the uncapped one, so a later
-iteration that seeds a term again only re-ranks the record its uncut path
-reached (Guo, Guo, Billings & Wei, Int. J. Systems Science 2015).
+A candidate is keyed by its term set, and one route makes every record:
+the first path or pruned winner, in run order, to end on a set is built
+into a model, probed, free-run and pooled, and every later one is ranked
+as that record.  A path depends on the problem, its forced first term and
+its length cap, and a capped path is a prefix of the uncapped one, so a
+later iteration that seeds a term again only re-ranks the record its
+uncut path reached (Guo, Guo, Billings & Wei, Int. J. Systems Science 2015).
 
 No k-term candidate can score a BIC below ``bic_of(floor, n, k)``.  Once an
 iteration has scored a selectable candidate, a path that reaches the first
@@ -52,9 +52,7 @@ import numpy as np
 from .errors import (
     ConfigError, IdentificationError, InsufficientDataError, SingularityError, check_integer,
 )
-from .ofr import (
-    Criterion, SelectionPath, back_substitute, default_max_terms, noise_floor, ofr_select,
-)
+from .ofr import Criterion, SelectionPath, back_substitute, default_max_terms, ofr_select
 from .regression import IoData, RegressionProblem, build_problem, least_squares
 from .simulation import PROBE_EPSILON, Model, StabilityVerdict, simulate_free_run, stability_probe
 from .terms import Dictionary, Term
@@ -368,7 +366,7 @@ def iterative_ofr(
     if n < 2:  # build_problem leaves at least one
         raise InsufficientDataError("only 1 fitted row: a BIC needs more fitted rows than terms")
     data_hash = data_fingerprint(data)
-    msse_floor = noise_floor(problem.target)
+    msse_floor = problem.msse_floor
     # the most steps a path can take: ofr_select's term cap, or the dictionary
     k_max = min(cfg.max_terms or default_max_terms(len(dictionary), n), len(dictionary))
     try:
@@ -379,13 +377,25 @@ def iterative_ofr(
         )
     except KeyError as exc:
         raise ConfigError(f"preselect term not in dictionary: {exc}") from None
-    # The candidate table, which is the pool: sorted columns -> their first
-    # record; runs: forced-first index -> its set's record, or its own if empty or cut.
+    # The candidate table, the pool: sorted columns -> their first record (record() makes
+    # every one); runs: forced-first index -> its set's record, or its own if empty or cut.
     table: dict[tuple[int, ...], PoolEntry] = {}
     runs: dict[int, PoolEntry] = {}
     winners: list[PoolEntry] = []
     converged = False
     n_evaluations = n_cut = 0
+
+    def record(path: SelectionPath, cap: int | None = None) -> PoolEntry:
+        """Count a finished path, then return its set's record or score and pool a new one."""
+        nonlocal n_evaluations
+        n_evaluations += path.n_evaluated
+        key = tuple(sorted(path.term_indices))
+        entry = table.get(key)
+        if entry is None or (cap is not None and len(path.steps) >= cap):
+            entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash, cap)
+            if entry.model is not None:
+                table[key] = entry
+        return entry
 
     for iterations in range(1, cfg.max_iterations + 1):
         # best: the lowest BIC among this iteration's selectable entries so
@@ -405,14 +415,7 @@ def iterative_ofr(
                     max_terms=cfg.max_terms if cap is None else cap,
                 )
                 n_run += 1
-                n_evaluations += path.n_evaluated
-                key = tuple(sorted(path.term_indices))
-                entry = table.get(key)
-                if entry is None or (cap is not None and len(path.steps) >= cap):
-                    entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash, cap)
-                    if entry.model is not None:
-                        table[key] = entry
-                runs[index] = entry
+                entry = runs[index] = record(path, cap)
                 n_cut += entry.outcome is Outcome.CUT
             if entry.outcome is Outcome.SCORED and entry.bic < best:
                 best = entry.bic
@@ -430,13 +433,9 @@ def iterative_ofr(
         if winner.msse <= msse_floor:
             columns = _exact_fit_columns(problem, winner.path, msse_floor)
             if columns is not None:
-                if columns not in table:
-                    pruned = _exact_fit_prune(problem, winner.path, columns, cfg.criterion)
-                    n_evaluations += pruned.n_evaluated
-                    table[columns] = _score_entry(
-                        pruned, data, problem, cfg, msse_floor, data_hash
-                    )
-                entry = table[columns]
+                entry = table.get(columns) or record(
+                    _exact_fit_prune(problem, winner.path, columns, cfg.criterion)
+                )
                 if entry.outcome is Outcome.SCORED and entry.bic <= winner.bic:
                     winner = entry
 

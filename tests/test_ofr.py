@@ -121,6 +121,9 @@ class TestPressOf:
         w1 = np.array([0.0, 1.0])
         with pytest.raises(LeverageError):
             press_of([w0], w1, np.array([1.0, 2.0]))
+        # a zero-norm orthogonal column (a dependent candidate) fits nothing
+        with pytest.raises(SingularityError, match="zero norm"):
+            press_of([w0], np.zeros(2), np.array([1.0, 2.0]))
 
 
 class TestOfrSelect:
@@ -1209,6 +1212,9 @@ class TestPositionIndependence:
             with pytest.raises(ValueError, match="read-only"):
                 constant[0] = 1.0
         assert float_bits(problem.target_ss) == float_bits(float(target @ target))
+        floor = problem.msse_floor
+        assert problem.msse_floor is floor  # computed once
+        assert float_bits(floor) == float_bits(noise_floor(target))
         assert path_bits(ofr_select(problem, Criterion.PRESS)) == path_bits(
             ofr_select(make_problem(), Criterion.PRESS)
         )

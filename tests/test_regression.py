@@ -124,6 +124,8 @@ class TestLeastSquares:
         problem = RegressionProblem(q, target, d, 2)
         theta = least_squares(problem)
         assert_allclose(theta, q.T @ target, atol=1e-12)
+        # no columns selected: no coefficients
+        assert_array_equal(least_squares(problem, []), np.empty(0))
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(5)
