@@ -52,33 +52,36 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
     Once every cell has parsed, the first ``nan`` or infinite one is an error.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        missing = {u_column, y_column} - set(header)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        index = {name: j for j, name in enumerate(header)}
-        u_vals, y_vals = [], []
-        columns = (
-            (u_column, index[u_column], u_vals), (y_column, index[y_column], y_vals)
-        )
-        rows = (row for row in reader if row)
-        for i, row in enumerate(rows, start=2):  # 1-based incl. header
-            for col, j, dest in columns:
-                cell = row[j] if j < len(row) else ""
-                try:
-                    dest.append(float(cell))
-                except ValueError:
-                    if not cell.strip():
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            missing = {u_column, y_column} - set(header)
+            if missing:
+                raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+            index = {name: j for j, name in enumerate(header)}
+            u_vals, y_vals = [], []
+            columns = (
+                (u_column, index[u_column], u_vals), (y_column, index[y_column], y_vals)
+            )
+            rows = (row for row in reader if row)
+            for i, row in enumerate(rows, start=2):  # 1-based incl. header
+                for col, j, dest in columns:
+                    cell = row[j] if j < len(row) else ""
+                    try:
+                        dest.append(float(cell))
+                    except ValueError:
+                        if not cell.strip():
+                            raise DataError(
+                                f"{path}: blank {col!r} cell at row {i}"
+                            ) from None
                         raise DataError(
-                            f"{path}: blank {col!r} cell at row {i}"
+                            f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
                         ) from None
-                    raise DataError(
-                        f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
-                    ) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not u_vals:
         raise DataError(f"{path}: no data rows")
     u, y = np.array(u_vals), np.array(y_vals)
@@ -133,7 +136,9 @@ def _number(value) -> float:
 
 def load_model(path) -> Model:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid model JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -200,8 +205,12 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
 def parse_config_file(path) -> RunConfig:
     """Parse a flat ``key = value`` config file ('#' starts a comment)."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

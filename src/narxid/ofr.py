@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, LeverageError, SingularityError
-from .regression import RegressionProblem, noise_floor
+from .regression import RegressionProblem
 
 __all__ = [
     "Criterion",
@@ -44,7 +44,6 @@ __all__ = [
     "press_of",
     "back_substitute",
     "default_max_terms",
-    "noise_floor",
 ]
 
 # Reject a candidate whenever any 1 - leverage falls below this: the deleted
@@ -194,12 +193,12 @@ def ofr_select(
     between columns equal bit for bit.  With ``stop`` set, an ERR path ends
     once its cumulative ERR reaches ``ERR_TOTAL``, and a PRESS path at the
     first PRESS increase (``"PRESS increase"``) or right after the step
-    whose PRESS reaches :func:`noise_floor` (``"PRESS floor"``: every later
-    score would be rounding noise); running out of candidates, the leverage
-    guard and the ``max_terms`` cap end a path either way.  The reason is
-    recorded.  ``n_evaluated`` counts every usable candidate a step
-    considers, whether the residual bound ruled it out or it was scored in
-    full.  A zero target raises :class:`DataError`: every ERR divides by
+    whose PRESS reaches ``problem.msse_floor`` (``"PRESS floor"``: every
+    later score would be rounding noise); running out of candidates, the
+    leverage guard and the ``max_terms`` cap end a path either way.  The
+    reason is recorded.  ``n_evaluated`` counts every usable candidate a
+    step considers, whether the residual bound ruled it out or it was scored
+    in full.  A zero target raises :class:`DataError`: every ERR divides by
     its energy.
     """
     phi = problem.phi
@@ -232,7 +231,7 @@ def ofr_select(
         else:
             n_evaluated += len(idx)
             if press:
-                scores = _press_scores(path, phi, idx, cand_ss[idx], cand_proj[idx])
+                scores = _press_scores(path, idx, cand_ss[idx], cand_proj[idx])
                 j = int(scores.argmin())
                 if scores[j] == np.inf:
                     stop_reason = "all candidates leverage-rejected"
@@ -343,9 +342,7 @@ class _Path:
         return SelectionPath(tuple(steps), triangular, stop_reason, n_evaluated)
 
 
-def _press_scores(
-    path: _Path, phi: np.ndarray, idx: np.ndarray, ss: np.ndarray, proj: np.ndarray
-) -> np.ndarray:
+def _press_scores(path: _Path, idx: np.ndarray, ss: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """Mean-squared PRESS of each candidate column ``idx``, or ``inf`` for a
     candidate the leverage guard rejects or the residual bound rules out.
 
@@ -360,8 +357,9 @@ def _press_scores(
     tests are those of scoring every candidate.
     """
     g = proj / ss
-    if phi.shape[0] * idx.size < _BOUND_MIN_BLOCK:
-        return _score_press(path, phi, idx, g, ss)
+    problem = path.problem
+    if problem.n_rows * idx.size < _BOUND_MIN_BLOCK:
+        return _score_press(path, idx, g, ss)
     # einsum, not a BLAS dot: a threaded ddot on a long record can wait
     # milliseconds for its threads, and rr only decides which candidates
     # are scored, never a score
@@ -369,17 +367,16 @@ def _press_scores(
     bound = rr - proj * g
     j0 = int(bound.argmin())
     press = np.full(idx.size, np.inf)
-    press[j0] = _score_press(path, phi, idx[j0 : j0 + 1], g[j0 : j0 + 1], ss[j0 : j0 + 1])[0]
+    press[j0] = _score_press(path, idx[j0 : j0 + 1], g[j0 : j0 + 1], ss[j0 : j0 + 1])[0]
     # if that candidate is rejected, its PRESS is inf and every column is scored
-    problem = path.problem
     gphi = np.abs(g) * problem.col_norm[idx]
     keep = bound <= _bound_threshold(
-        phi.shape[0], len(path.steps), press[j0], rr, problem.target_ss, gphi
+        problem.n_rows, len(path.steps), press[j0], rr, problem.target_ss, gphi
     )
     keep[j0] = False
     kept = keep.nonzero()[0]
     if kept.size:
-        press[kept] = _score_press(path, phi, idx[kept], g[kept], ss[kept])
+        press[kept] = _score_press(path, idx[kept], g[kept], ss[kept])
     return press
 
 
@@ -424,9 +421,7 @@ def _bound_threshold(
     return n_rows * press * (1.0 + s) + s * (rr + (k + 1) * gphi * (2.0 * math.sqrt(yy) + gphi))
 
 
-def _score_press(
-    path: _Path, phi: np.ndarray, cols: np.ndarray, g: np.ndarray, ss: np.ndarray
-) -> np.ndarray:
+def _score_press(path: _Path, cols: np.ndarray, g: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Mean-squared PRESS of candidate columns ``cols`` with projection
     coefficients ``g`` and squared norms ``ss``; ``inf`` where rejected.
 
@@ -439,7 +434,7 @@ def _score_press(
     """
     k = len(path.steps)
     w = np.einsum("in,ic->cn", path.w_rows[:k], path.acc[:k, cols], order="C")
-    np.subtract(phi[:, cols].T, w, out=w)
+    np.subtract(path.problem.phi[:, cols].T, w, out=w)
     deleted_num = path.resid - w * g[:, None]
     deleted_den = np.square(w, out=w)
     deleted_den /= ss[:, None]

@@ -8,6 +8,7 @@ data.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +50,13 @@ class IoData:
 
     def __len__(self) -> int:
         return len(self.y)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The provenance ``data_hash``: SHA-256 of u's bytes then y's, 16 hex digits."""
+        digest = hashlib.sha256(self.u.tobytes())
+        digest.update(self.y.tobytes())
+        return digest.hexdigest()[:16]
 
     def slice(self, start: int, stop: int) -> "IoData":
         if not (0 <= start < stop <= len(self)):

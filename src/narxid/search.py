@@ -39,7 +39,6 @@ path run again can find its set's record made since by another path.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import numbers
@@ -182,13 +181,6 @@ def bic_of(msse: float, n_samples: int, n_params: int) -> float:
     return float(n_samples * np.log(msse + 1e-300) + n_params * np.log(n_samples))
 
 
-def data_fingerprint(data: IoData) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(data.u).tobytes())
-    digest.update(np.ascontiguousarray(data.y).tobytes())
-    return digest.hexdigest()[:16]
-
-
 def build_model(
     dictionary: Dictionary,
     path: SelectionPath,
@@ -228,8 +220,6 @@ def _score_entry(
     data: IoData,
     problem: RegressionProblem,
     cfg: SearchConfig,
-    msse_floor: float,
-    data_hash: str,
     cap: int | None = None,
 ) -> PoolEntry:
     """The record of ``path``; one that reached ``cap`` steps is cut unbuilt."""
@@ -237,7 +227,7 @@ def _score_entry(
     if not k or (cap is not None and k >= cap):
         outcome = Outcome.CUT if k else Outcome.EMPTY
         return PoolEntry(None, None, math.inf, math.inf, path, outcome=outcome)
-    model = build_model(problem.dictionary, path, cfg.criterion, data_hash)
+    model = build_model(problem.dictionary, path, cfg.criterion, data.fingerprint)
     verdict = stability_probe(model, cfg.epsilon)
     msse = bic = math.inf
     if not verdict.stable:
@@ -245,26 +235,24 @@ def _score_entry(
     else:
         run = simulate_free_run(model, data.u, data.y)
         if not run.diverged:
-            err = data.y[problem.offset :] - run.output[problem.offset :]
+            err = problem.target - run.output[problem.offset :]
             msse = float(np.mean(err**2))
         if not math.isfinite(msse):
             outcome = Outcome.RUN_DIVERGED
         elif problem.n_rows <= k:
             outcome = Outcome.NO_BIC
         else:
-            outcome, bic = Outcome.SCORED, bic_of(max(msse, msse_floor), problem.n_rows, k)
+            outcome, bic = Outcome.SCORED, bic_of(max(msse, problem.msse_floor), problem.n_rows, k)
     return PoolEntry(model, verdict, msse, bic, path, outcome=outcome)
 
 
-def _exact_fit_columns(
-    problem: RegressionProblem, path: SelectionPath, msse_floor: float
-) -> tuple[int, ...] | None:
+def _exact_fit_columns(problem: RegressionProblem, path: SelectionPath) -> tuple[int, ...] | None:
     """The path's terms that a numerically exact fit needs, as sorted
     dictionary indices.
 
     Terms are tried for removal from the last selected back to the first;
     one goes when the least-squares one-step mean-square residual of the
-    rest stays at or below ``msse_floor``.  Returns None when no term can go.
+    rest stays at or below ``problem.msse_floor``.  Returns None when no term can go.
     """
     keep = list(path.term_indices)
     for index in reversed(path.term_indices):
@@ -276,7 +264,7 @@ def _exact_fit_columns(
         except SingularityError:
             continue
         resid = problem.target - problem.phi[:, rest] @ theta
-        if float(np.mean(resid**2)) <= msse_floor:
+        if float(np.mean(resid**2)) <= problem.msse_floor:
             keep = rest
     return None if len(keep) == len(path.steps) else tuple(sorted(keep))
 
@@ -365,8 +353,6 @@ def iterative_ofr(
     n = problem.n_rows
     if n < 2:  # build_problem leaves at least one
         raise InsufficientDataError("only 1 fitted row: a BIC needs more fitted rows than terms")
-    data_hash = data_fingerprint(data)
-    msse_floor = problem.msse_floor
     # the most steps a path can take: ofr_select's term cap, or the dictionary
     k_max = min(cfg.max_terms or default_max_terms(len(dictionary), n), len(dictionary))
     try:
@@ -392,7 +378,7 @@ def iterative_ofr(
         key = tuple(sorted(path.term_indices))
         entry = table.get(key)
         if entry is None or (cap is not None and len(path.steps) >= cap):
-            entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash, cap)
+            entry = _score_entry(path, data, problem, cfg, cap)
             if entry.model is not None:
                 table[key] = entry
         return entry
@@ -419,7 +405,7 @@ def iterative_ofr(
                 n_cut += entry.outcome is Outcome.CUT
             if entry.outcome is Outcome.SCORED and entry.bic < best:
                 best = entry.bic
-                cap = _length_cap(best, msse_floor, n, k_max)
+                cap = _length_cap(best, problem.msse_floor, n, k_max)
         logger.debug(
             "iteration %d: %d paths run, %d cut, k_cap %s",
             iterations, n_run, n_cut - cut_before, None if cap is None else cap - 1,
@@ -430,8 +416,8 @@ def iterative_ofr(
             break
         winner = min(ranked, key=_rank)
 
-        if winner.msse <= msse_floor:
-            columns = _exact_fit_columns(problem, winner.path, msse_floor)
+        if winner.msse <= problem.msse_floor:
+            columns = _exact_fit_columns(problem, winner.path)
             if columns is not None:
                 entry = table.get(columns) or record(
                     _exact_fit_prune(problem, winner.path, columns, cfg.criterion)

@@ -70,10 +70,10 @@ def _make_test(
     a: np.ndarray,
     b: np.ndarray,
     lags: np.ndarray,
-    bound: float,
     skip_zero_lag: bool = False,
 ) -> CorrelationTest:
-    """Biased normalized cross-correlation of ``a`` and ``b`` at ``lags``.
+    """Biased normalized cross-correlation of ``a`` and ``b`` at ``lags``,
+    checked against the band ``1.96 / sqrt(len(a))``.
 
     Value at lag ``tau`` estimates ``E[a(t) b(t+tau)]`` normalized by the
     zero-lag energies, so a spike at ``tau = d > 0`` means ``b`` repeats
@@ -84,6 +84,7 @@ def _make_test(
     to 11 samples in plain order rather than by a BLAS dot product.
     """
     L = len(a)
+    bound = 1.96 / np.sqrt(L)
     aa, bb = float(a @ a), float(b @ b)
     degenerate = aa == 0.0 or bb == 0.0
     denom = np.sqrt(aa * bb)
@@ -123,7 +124,6 @@ def residual_tests(residuals, u, max_lag: int | None = None) -> ValidationReport
     if not (1 <= max_lag < L):
         raise DataError(f"max_lag {max_lag} out of range for {L} samples")
 
-    bound = 1.96 / np.sqrt(L)
     e = residuals - residuals.mean()
     uc = u - u.mean()
     eu = residuals * u
@@ -136,12 +136,12 @@ def residual_tests(residuals, u, max_lag: int | None = None) -> ValidationReport
     one_sided = np.arange(0, max_lag + 1)
     two_sided = np.arange(-max_lag, max_lag + 1)
     tests = (
-        _make_test("phi_ee", e, e, one_sided, bound, skip_zero_lag=True),
-        _make_test("phi_ue", uc, e, two_sided, bound),
+        _make_test("phi_ee", e, e, one_sided, skip_zero_lag=True),
+        _make_test("phi_ue", uc, e, two_sided),
         # residual against the delayed residual*input product: value at
         # tau >= 0 estimates E[e(t) (e u)(t - tau)]
-        _make_test("phi_e_eu", euc, e, one_sided, bound),
-        _make_test("phi_u2e", u2c, e, two_sided, bound),
-        _make_test("phi_u2e2", u2c, e2c, two_sided, bound),
+        _make_test("phi_e_eu", euc, e, one_sided),
+        _make_test("phi_u2e", u2c, e, two_sided),
+        _make_test("phi_u2e2", u2c, e2c, two_sided),
     )
     return ValidationReport(tests, float(np.var(residuals)), L)

@@ -42,7 +42,7 @@ from narxid import (
     stability_probe,
 )
 from narxid.dataio import render_report
-from narxid.ofr import noise_floor
+from narxid.regression import noise_floor
 from narxid.search import ModelPool
 
 BENCHMARK_SEED = 332

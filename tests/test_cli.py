@@ -389,6 +389,41 @@ class TestIdentify:
         assert doc["narx"] is None
 
 
+class TestNonUtf8Files:
+    """Every file narxid reads is UTF-8 text; another file is an error
+    naming it, with the exit code of its kind, not a traceback."""
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",
+        # past the first buffered read, so the error arises mid-record
+        b"u,y\n" + b"0.5,1.5\n" * 2000 + b"\xff,1\n",
+    ])
+    def test_data_file_exits_3(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main(["identify", "--data", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"n_a = 2\n# \xe9t\xe9\n")
+        assert main(["identify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_model_file_exits_3(self, tmp_path, bench_csv, capsys, command):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"schema": "\xff"}')
+        code = main([
+            command, "--model", str(path), "--data", str(bench_csv),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
 class TestSimulateAndValidate:
     @pytest.fixture()
     def model_path(self, tmp_path, bench_csv):

@@ -37,9 +37,8 @@ from narxid.ofr import (
     PathStep,
     SelectionPath,
     default_max_terms,
-    noise_floor,
 )
-from narxid.regression import RANK_TOL, IoData, RegressionProblem, build_problem
+from narxid.regression import RANK_TOL, IoData, RegressionProblem, build_problem, noise_floor
 from narxid.terms import (
     Dictionary,
     LagSpec,
@@ -1118,10 +1117,10 @@ class TestPressKernelNumerics:
         problem = fake_problem(phi, target)
         n_scored = 0
 
-        def check_and_score(path, phi, idx, ss, proj):
+        def check_and_score(path, idx, ss, proj):
             nonlocal n_scored
             g = proj / ss
-            press = _score_press(path, phi, idx, g, ss)
+            press = _score_press(path, idx, g, ss)
             rr = float(np.einsum("i,i->", path.resid, path.resid))
             gphi = np.abs(g) * problem.col_norm[idx]
             finite = np.isfinite(press)
@@ -1172,18 +1171,18 @@ class TestPositionIndependence:
         forced = data.draw(st.none() | st.integers(0, n_cols - 1), label="forced_first")
         n_checked = 0
 
-        def check_then_score(path, phi, idx, ss, proj):
+        def check_then_score(path, idx, ss, proj):
             nonlocal n_checked
             g = proj / ss
-            block = _score_press(path, phi, idx, g, ss)
+            block = _score_press(path, idx, g, ss)
             for j in range(idx.size):
-                alone = _score_press(path, phi, idx[j : j + 1], g[j : j + 1], ss[j : j + 1])
+                alone = _score_press(path, idx[j : j + 1], g[j : j + 1], ss[j : j + 1])
                 assert float_bits(alone) == float_bits(block[j : j + 1])
             pick = rng.permutation(idx.size)[: rng.integers(1, idx.size + 1)]
-            subset = _score_press(path, phi, idx[pick], g[pick], ss[pick])
+            subset = _score_press(path, idx[pick], g[pick], ss[pick])
             assert float_bits(subset) == float_bits(block[pick])
             n_checked += idx.size
-            return _press_scores(path, phi, idx, ss, proj)
+            return _press_scores(path, idx, ss, proj)
 
         with mock.patch("narxid.ofr._press_scores", check_then_score):
             path = ofr_select(problem, Criterion.PRESS, forced_first=forced, stop=False)

@@ -138,6 +138,12 @@ class TestIdentify:
         assert report.chosen == "NARX"
         assert set(report.chosen_model.terms) == TRUE_TERMS
 
+    def test_both_stages_carry_the_records_fingerprint(self):
+        data = white_noise_benchmark()
+        report = identify(data, LagSpec(2, 2, 2, include_constant=False))
+        stages = (report.arx, report.narx)
+        assert [s.model.provenance["data_hash"] for s in stages] == [data.fingerprint] * 2
+
     def test_none_and_m1_agree_here(self):
         spec = LagSpec(2, 2, 2, include_constant=False)
         data = white_noise_benchmark()

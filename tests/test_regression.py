@@ -1,5 +1,7 @@
 """Regression matrix assembly and the reference least-squares solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -43,6 +45,21 @@ class TestIoData:
         assert len(data.slice(1, 4)) == 3
         with pytest.raises(DataError):
             data.slice(2, 9)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            IoData(np.arange(5), [0.5, -1.0, 2.0, 0.0, 3.25]),
+            IoData(np.linspace(-1.0, 1.0, 300), np.sin(np.arange(300.0))).slice(7, 211),
+        ],
+    )
+    def test_fingerprint_is_the_sha256_prefix_of_u_then_y_computed_once(self, data):
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(data.u).tobytes())
+        digest.update(np.ascontiguousarray(data.y).tobytes())
+        fingerprint = data.fingerprint
+        assert fingerprint == digest.hexdigest()[:16]
+        assert data.fingerprint is fingerprint
 
 
 class TestBuildProblem:

@@ -42,14 +42,14 @@ from narxid import (
     stability_probe,
 )
 from narxid.errors import ConfigError, DivergenceError
-from narxid.ofr import default_max_terms, noise_floor
+from narxid.ofr import default_max_terms
+from narxid.regression import noise_floor
 from narxid.search import (
     _BIC_ROUNDING,
     _exact_fit_columns,
     _exact_fit_prune,
     _length_cap,
     _score_entry,
-    data_fingerprint,
 )
 
 
@@ -297,11 +297,10 @@ class TestExactFitPruning:
         assert not pruned(result.best)
         assert not any(pruned(e) for e in result.pool)
         problem = build_problem(data, d)
-        floor = noise_floor(problem.target)
         seed = d.index(parse_term("u(t-1)"))
         for criterion in Criterion:
             path = ofr_select(problem, criterion, forced_first=seed, max_terms=1)
-            assert _exact_fit_columns(problem, path, floor) is None
+            assert _exact_fit_columns(problem, path) is None
 
     @pytest.mark.parametrize("stop", [True, False])
     def test_winners_pruning_to_one_set_share_its_entry(self, stop, monkeypatch):
@@ -349,7 +348,6 @@ def reference_iterative_ofr(
     for every path and pruned re-selection that the loop scores.
     """
     problem = build_problem(data, dictionary)
-    data_hash = data_fingerprint(data)
     msse_floor = noise_floor(problem.target)
     seeds = list(dict.fromkeys(preselect)) if preselect else list(dictionary.terms)
     seen_sets = set()
@@ -386,7 +384,7 @@ def reference_iterative_ofr(
         iteration_best = iteration_best_key = None
         for order, path in enumerate(paths):
             n_evaluations += path.n_evaluated
-            entry = _score_entry(path, data, problem, cfg, msse_floor, data_hash)
+            entry = _score_entry(path, data, problem, cfg)
             if entry.outcome is Outcome.EMPTY:
                 continue
             entry = record(entry, iteration)
@@ -400,15 +398,13 @@ def reference_iterative_ofr(
             break
 
         if iteration_best.msse <= msse_floor:
-            columns = _exact_fit_columns(problem, iteration_best.path, msse_floor)
+            columns = _exact_fit_columns(problem, iteration_best.path)
             if columns is not None:
                 pruned = _exact_fit_prune(
                     problem, iteration_best.path, columns, cfg.criterion
                 )
                 n_evaluations += pruned.n_evaluated
-                entry = _score_entry(
-                    pruned, data, problem, cfg, msse_floor, data_hash
-                )
+                entry = _score_entry(pruned, data, problem, cfg)
                 if entry.outcome is not Outcome.EMPTY:
                     entry = record(entry, iteration)
                     if entry.outcome is Outcome.SCORED and entry.bic <= iteration_best.bic:
@@ -749,7 +745,7 @@ class TestOutcome:
         problem = build_problem(data, full_dictionary())
         path = ofr_select(problem, forced_first=0)
         monkeypatch.setattr(narxid.search, "simulate_free_run", diverging_run)
-        entry = _score_entry(path, data, problem, SearchConfig(), 0.0, "")
+        entry = _score_entry(path, data, problem, SearchConfig())
         assert entry.verdict.stable
         assert entry.outcome is derived_outcome(entry) is Outcome.RUN_DIVERGED
         assert narxid.pipeline._rejection_note(ModelPool([entry])).endswith(
@@ -764,7 +760,7 @@ class TestOutcome:
         # u = 0 leaves the u(t-1) column zero: its forced-first path is empty
         empty = ofr_select(problem, forced_first=d.index(parse_term("u(t-1)")))
         path = ofr_select(problem, forced_first=0)
-        args = data, problem, SearchConfig(), 0.0, ""
+        args = data, problem, SearchConfig()
         records = [
             (_score_entry(empty, *args), Outcome.EMPTY),
             (_score_entry(path, *args, len(path.steps)), Outcome.CUT),

@@ -329,7 +329,7 @@ class TestGeneratedRecursion:
                 module, "simulate_free_run", counted(simulate_free_run, runs)
             )
         _compiled_recursion.cache_clear()
-        entry = _score_entry(path, data, problem, SearchConfig(), 0.0, "")
+        entry = _score_entry(path, data, problem, SearchConfig())
         assert entry.verdict.stable and math.isfinite(entry.msse)
         assert len(runs) == 3  # two probe runs and the scoring run
         assert len(sources) == 1
