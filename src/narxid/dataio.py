@@ -50,10 +50,11 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
     column.  Blank lines after it are skipped and not counted in the row
     numbers of error messages, and a cell missing from a short row is blank.
     Once every cell has parsed, the first ``nan`` or infinite one is an error.
+    A UTF-8 byte-order mark before the header is skipped.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -203,10 +204,13 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
 
 
 def parse_config_file(path) -> RunConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` config file ('#' starts a comment).
+
+    A UTF-8 byte-order mark before the first key is skipped.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}

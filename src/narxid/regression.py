@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, SingularityError
-from .terms import Dictionary, Signal, Term
+from .terms import Dictionary, Factor, Signal, Term
 
 __all__ = ["IoData", "RegressionProblem", "build_problem", "least_squares", "term_columns"]
 
@@ -31,7 +31,12 @@ MSSE_FLOOR_REL = 1e-24
 
 @dataclass(frozen=True)
 class IoData:
-    """An aligned input-output record, indexed by sample."""
+    """An aligned input-output record, indexed by sample.
+
+    The arrays must not be changed after construction: ``fingerprint`` and
+    the regression problem :func:`build_problem` keeps on the record are
+    computed from them once.
+    """
 
     u: np.ndarray
     y: np.ndarray
@@ -77,16 +82,46 @@ def noise_floor(target: np.ndarray) -> float:
 
 
 def term_columns(terms: Sequence[Term], u: np.ndarray, y: np.ndarray, offset: int) -> np.ndarray:
-    """Stack term-value columns for rows ``t = offset .. L-1`` (0-based)."""
-    rows = np.arange(offset, len(y))
-    cols = []
-    for term in terms:
-        c = np.ones(len(rows))
-        for f in term.factors:
+    """Stack term-value columns for rows ``t = offset .. L-1`` (0-based).
+
+    Each factor's lagged power is computed once, and each column is its
+    factor prefix's column times its last factor's power (the constant is a
+    column of ones), so a column holds the bits of the left-to-right product
+    ``1 * f1 * f2 * ...``.  In an expanded dictionary the prefix is an
+    earlier column; a prefix not in ``terms`` (a model's terms can lack
+    one) is multiplied out on the side.  The result is one C-ordered
+    ``n x M`` array.
+    """
+    L = len(y)
+    n = L - offset
+    phi = np.empty((n, len(terms)))
+    powers: dict[Factor, np.ndarray] = {}
+    columns: dict[tuple[Factor, ...], np.ndarray] = {(): np.ones(n)}
+
+    def power(f: Factor) -> np.ndarray:
+        p = powers.get(f)
+        if p is None:
             x = y if f.signal is Signal.OUTPUT else u
-            c = c * x[rows - f.lag] ** f.exponent
-        cols.append(c)
-    return np.column_stack(cols) if cols else np.empty((len(rows), 0))
+            p = powers[f] = x[offset - f.lag : L - f.lag] ** f.exponent
+        return p
+
+    for j, term in enumerate(terms):
+        factors = term.factors
+        if not factors:
+            phi[:, j] = 1.0
+            continue
+        prefix = factors[:-1]
+        c = columns.get(prefix)
+        # a loop, not a recursive closure: one would form a reference cycle
+        # through the memo that keeps phi alive until the cyclic collector runs
+        if c is None:
+            c = columns[()]
+            for f in prefix:
+                c = c * power(f)
+            columns[prefix] = c
+        np.multiply(c, power(factors[-1]), out=phi[:, j])
+        columns[factors] = phi[:, j]
+    return phi
 
 
 @dataclass(frozen=True)
@@ -181,7 +216,14 @@ def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
     with nonzero energy on the fitted rows (:class:`DataError` otherwise:
     every ERR divides by that energy); warns when the number of usable rows
     does not exceed the number of candidates.
+
+    The last problem built is kept on ``data``, as its ``fingerprint`` is,
+    and returned again for a dictionary equal to its own, so an overfit
+    sketch and the search after it share one ``phi`` and its constants.
     """
+    last = getattr(data, "_problem", None)
+    if last is not None and last.dictionary == dictionary:
+        return last
     offset = dictionary.max_lag
     L = len(data)
     if L <= offset:
@@ -203,7 +245,9 @@ def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
         )
     phi.setflags(write=False)
     target.setflags(write=False)
-    return RegressionProblem(phi, target, dictionary, offset)
+    problem = RegressionProblem(phi, target, dictionary, offset)
+    object.__setattr__(data, "_problem", problem)
+    return problem
 
 
 def least_squares(

@@ -368,6 +368,8 @@ def iterative_ofr(
     table: dict[tuple[int, ...], PoolEntry] = {}
     runs: dict[int, PoolEntry] = {}
     winners: list[PoolEntry] = []
+    # id(winning record) -> its _exact_fit_columns, so a winner that repeats is checked once
+    exact_fits: dict[int, tuple[int, ...] | None] = {}
     converged = False
     n_evaluations = n_cut = 0
 
@@ -417,7 +419,9 @@ def iterative_ofr(
         winner = min(ranked, key=_rank)
 
         if winner.msse <= problem.msse_floor:
-            columns = _exact_fit_columns(problem, winner.path)
+            if id(winner) not in exact_fits:
+                exact_fits[id(winner)] = _exact_fit_columns(problem, winner.path)
+            columns = exact_fits[id(winner)]
             if columns is not None:
                 entry = table.get(columns) or record(
                     _exact_fit_prune(problem, winner.path, columns, cfg.criterion)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -209,7 +210,7 @@ class Dictionary:
         except KeyError:
             raise KeyError(f"term {term} not in dictionary") from None
 
-    @property
+    @cached_property
     def max_lag(self) -> int:
         return max((t.max_lag for t in self.terms), default=0)
 

@@ -17,7 +17,9 @@ from narxid import (
     simulate_free_run,
 )
 from narxid.cli import _build_parser, main
-from narxid.dataio import RunConfig, ingest_csv, load_model, write_timeseries_csv
+from narxid.dataio import (
+    RunConfig, ingest_csv, load_model, parse_config_file, write_timeseries_csv,
+)
 
 
 @pytest.fixture()
@@ -422,6 +424,32 @@ class TestNonUtf8Files:
         ])
         assert code == 3
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as some editors write one, is not part of the
+    first header cell or the first config key."""
+
+    def test_data_file(self, tmp_path, bench_csv, capsys):
+        # the u,y columns of the t,u,y record, after a mark
+        rows = bench_csv.read_text().splitlines()[1:]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbfu,y\r\n"
+            + "".join(row.split(",", 1)[1] + "\r\n" for row in rows).encode()
+        )
+        data, plain = ingest_csv(path), ingest_csv(bench_csv)
+        assert data.u.tobytes() == plain.u.tobytes()
+        assert data.y.tobytes() == plain.y.tobytes()
+        out = tmp_path / "o"
+        assert main(["identify", "--data", str(path), "--train-end", "60", "--out", str(out)]) == 0
+
+    def test_config_file(self, tmp_path, bench_csv):
+        # the first key is data
+        plain = write_config(tmp_path, bench_csv)
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config_file(path) == parse_config_file(plain)
 
 
 class TestSimulateAndValidate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import narxid.pipeline
+import narxid.regression
 import narxid.search
 from narxid import (
     ConfigError,
@@ -29,6 +30,7 @@ from narxid import (
 )
 from narxid.cli import main
 from narxid.dataio import RunConfig, apply_config_values, write_timeseries_csv
+from narxid.regression import term_columns
 
 
 def white_noise_benchmark(n=1000, seed=332, train=60):
@@ -429,6 +431,53 @@ class TestReductionPlans:
         assert report.narx.n_evaluations == narx_search.n_evaluations + sketch_evals
 
 
+def first_order_data():
+    # y(t) = 0.5 y(t-1) + u(t-1) with output noise: under LagSpec(2, 2, 2)
+    # the linear stage keeps y(t-1) and u(t-1) and fits 298 of the 300
+    # samples, so the reduced dictionary differs from the full one
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=300)
+    y = np.zeros(300)
+    for t in range(1, 300):
+        y[t] = 0.5 * y[t - 1] + u[t - 1]
+    y += 0.05 * rng.normal(size=300)
+    return u, y
+
+
+class TestOneProblemPerRecord:
+    """The overfit sketch and the search share the record's problem when
+    their dictionaries are equal, so each builds its columns once."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+
+        def recording_term_columns(terms, *args):
+            built.append(tuple(terms))
+            return term_columns(terms, *args)
+
+        monkeypatch.setattr(narxid.regression, "term_columns", recording_term_columns)
+        return built
+
+    @pytest.mark.parametrize("method", list(ReductionMethod))
+    def test_one_nonlinear_phi_per_identify_on_case_a(self, built, method):
+        # the reduced dictionary equals the full one in value here
+        spec = LagSpec(2, 2, 2, include_constant=False)
+        report = identify(white_noise_benchmark(), spec, method)
+        linear = build_linear_dictionary(spec)
+        assert built == [linear.terms, expand_dictionary(linear, 2).terms]
+        assert report.narx.dictionary.terms == built[1]
+
+    def test_method_4_builds_both_when_the_dictionaries_differ(self, built):
+        spec = LagSpec(2, 2, 2, include_constant=False)
+        report = identify(IoData(*first_order_data()), spec, ReductionMethod.M4)
+        linear = build_linear_dictionary(spec)
+        reduced = reduce_dictionary(report.arx.model.terms, 2)
+        full = expand_dictionary(linear, 2)
+        assert reduced != full
+        assert built == [linear.terms, reduced.terms, full.terms]
+
+
 class TestFittedRows:
     @pytest.mark.xfail(strict=True, reason=(
         "open defect (ROADMAP item 21): build_problem starts the fitted rows "
@@ -437,14 +486,7 @@ class TestFittedRows:
     ))
     @pytest.mark.parametrize("method", [ReductionMethod.M1, ReductionMethod.M3])
     def test_both_stages_fit_the_same_rows(self, monkeypatch, method):
-        # y(t) = 0.5 y(t-1) + u(t-1) with output noise: the linear stage keeps
-        # y(t-1) and u(t-1) and fits 298 of the 300 samples
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=300)
-        y = np.zeros(300)
-        for t in range(1, 300):
-            y[t] = 0.5 * y[t - 1] + u[t - 1]
-        y += 0.05 * rng.normal(size=300)
+        u, y = first_order_data()
         rows = []
 
         def recording_build_problem(data, dictionary):

@@ -1,9 +1,13 @@
 """Regression matrix assembly and the reference least-squares solver."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from narxid import (
@@ -15,16 +19,97 @@ from narxid import (
     build_linear_dictionary,
     build_problem,
     dc_motor_reference,
+    dc_motor_terms,
     expand_dictionary,
     least_squares,
     RegressionProblem,
     parse_term,
 )
-from narxid.terms import Dictionary
+from narxid.regression import term_columns
+from narxid.terms import Dictionary, Signal
 
 
 def small_dictionary(*term_strings):
     return Dictionary(tuple(parse_term(s) for s in term_strings))
+
+
+def reference_term_columns(terms, u, y, offset):
+    """The column loop ``term_columns`` must match bit for bit: each column
+    is ``1 * f1 * f2 * ...``, every factor power computed again per column."""
+    rows = np.arange(offset, len(y))
+    cols = []
+    for term in terms:
+        c = np.ones(len(rows))
+        for f in term.factors:
+            x = y if f.signal is Signal.OUTPUT else u
+            c = c * x[rows - f.lag] ** f.exponent
+        cols.append(c)
+    return np.column_stack(cols) if cols else np.empty((len(rows), 0))
+
+
+@st.composite
+def column_inputs(draw):
+    """Terms, a record and an offset: a whole expanded dictionary, shuffled
+    or in order, or a few of its terms as a model passes them (prefixes
+    absent, possibly none at all), over white, 0/1, negative or huge
+    samples, whose powers can overflow to inf and whose products to nan."""
+    n_a = draw(st.integers(0, 4))
+    spec = LagSpec(
+        n_a, draw(st.integers(0 if n_a else 1, 4)), draw(st.integers(1, 4)), draw(st.booleans())
+    )
+    terms = list(expand_dictionary(
+        build_linear_dictionary(spec), spec.degree, spec.include_constant
+    ))
+    order = draw(st.sampled_from(["dictionary", "shuffled", "model"]))
+    if order == "shuffled":
+        terms = draw(st.permutations(terms))
+    elif order == "model":
+        terms = draw(st.lists(st.sampled_from(terms), unique=True, max_size=8))
+    offset = draw(st.integers(max((t.max_lag for t in terms), default=0), 4))
+    length = offset + draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["white", "prbs", "negative", "huge"]))
+    if kind == "white":
+        u, y = rng.normal(size=(2, length))
+    elif kind == "prbs":
+        u, y = rng.integers(0, 2, size=(2, length)).astype(float)
+    elif kind == "negative":
+        u, y = -rng.exponential(size=(2, length))
+    else:
+        u, y = rng.choice([0.0, 1.0, -1e120, 1e120, 3e-200], size=(2, length))
+    return terms, u, y, offset
+
+
+class TestTermColumns:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(column_inputs())
+    def test_matches_the_reference_loop_bit_for_bit(self, inputs):
+        terms, u, y, offset = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = term_columns(terms, u, y, offset)
+            ref = reference_term_columns(terms, u, y, offset)
+        assert phi.shape == ref.shape
+        assert phi.flags.c_contiguous
+        assert phi.tobytes() == ref.tobytes()
+
+    def test_matrix_is_freed_with_its_last_reference(self):
+        # no reference cycle holds phi until the cyclic collector runs (one
+        # did, through a recursive closure over the memo of columns)
+        u, y = np.random.default_rng(1).normal(size=(2, 200))
+        gc.disable()
+        try:
+            phi = term_columns(dc_motor_terms()[0], u, y, 2)
+            freed = weakref.ref(phi)
+            del phi
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_empty_term_list(self):
+        u, y = np.random.default_rng(0).normal(size=(2, 9))
+        phi = term_columns((), u, y, 3)
+        assert phi.shape == (6, 0)
+        assert phi.flags.c_contiguous
 
 
 class TestIoData:
@@ -113,6 +198,28 @@ class TestBuildProblem:
         )
         with pytest.warns(UserWarning, match="usable rows"):
             build_problem(data, d)
+
+    def test_keeps_one_problem_per_record(self):
+        rng = np.random.default_rng(3)
+        data = IoData(rng.normal(size=50), rng.normal(size=50))
+        spec = LagSpec(2, 1, 2, include_constant=False)
+        d = expand_dictionary(build_linear_dictionary(spec), 2)
+        problem = build_problem(data, d)
+        # the same problem for the same dictionary or one equal in value
+        assert build_problem(data, d) is problem
+        assert build_problem(data, expand_dictionary(build_linear_dictionary(spec), 2)) is problem
+        # a different dictionary replaces it, and the first is built again
+        linear = build_linear_dictionary(spec)
+        assert build_problem(data, linear).dictionary is linear
+        again = build_problem(data, d)
+        assert again is not problem
+        assert again.phi.tobytes() == problem.phi.tobytes()
+        # another record gets its own, even an equal copy or a slice of this one
+        for other in (IoData(data.u, data.y), data.slice(0, 50), data.slice(1, 50)):
+            built = build_problem(other, d)
+            assert built is not again
+            assert built is build_problem(other, d)
+        assert build_problem(data, d) is again
 
     def test_pure_function(self):
         rng = np.random.default_rng(3)

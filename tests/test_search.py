@@ -657,6 +657,30 @@ class TestSearchReuse:
         assert result.n_evaluations == sum(path.n_evaluated for _, _, path, _ in calls)
 
 
+@pytest.mark.parametrize("name", ["multitone-pruned", "dc-white"])
+def test_exact_fit_check_once_per_winning_record(name, monkeypatch):
+    # a winner that repeats (the converging iteration's, at least) is not
+    # checked again, and each check finds what the reference loop's does
+    checks = {"search": [], "reference": []}
+    check = _exact_fit_columns
+
+    def spy(calls):
+        def recording_check(problem, path):
+            columns = check(problem, path)
+            calls.append((tuple(sorted(path.term_indices)), columns))
+            return columns
+        return recording_check
+
+    monkeypatch.setattr(narxid.search, "_exact_fit_columns", spy(checks["search"]))
+    run_case(name, iterative_ofr)
+    monkeypatch.setitem(globals(), "_exact_fit_columns", spy(checks["reference"]))
+    run_case(name, reference_iterative_ofr)
+    ours, ref = checks["search"], checks["reference"]
+    assert len(ours) < len(ref)
+    assert len({key for key, _ in ours}) == len(ours)
+    assert ours == list(dict.fromkeys(ref))
+
+
 @pytest.mark.parametrize("record", range(4))
 def test_linear_stage_pools_the_first_path_of_its_one_set(record):
     # the linear records of the small-batch benchmark at seed 332: every
