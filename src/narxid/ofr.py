@@ -291,7 +291,7 @@ class _Path:
         self.w_rows = np.empty((k_max, n_rows))  # orthogonal column i in row i
         self.w_ss: list[float] = []
         self.acc = np.zeros((k_max, n_cols))
-        self.resid = problem.target.astype(float, copy=True)
+        self.resid = problem.target
         self.leverage = np.zeros(n_rows)
         self.one_less_leverage = np.ones(n_rows)
         self.available = np.ones(n_cols, dtype=bool)

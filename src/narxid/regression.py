@@ -33,17 +33,17 @@ MSSE_FLOOR_REL = 1e-24
 class IoData:
     """An aligned input-output record, indexed by sample.
 
-    The arrays must not be changed after construction: ``fingerprint`` and
-    the regression problem :func:`build_problem` keeps on the record are
-    computed from them once.
+    ``u`` and ``y`` are read-only copies of the arrays given, so changing
+    those leaves the record, its ``fingerprint`` and the regression problem
+    :func:`build_problem` keeps on it as they were.
     """
 
     u: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        u = _read_only(np.array(self.u, dtype=float))
+        y = _read_only(np.array(self.y, dtype=float))
         if u.ndim != 1 or y.ndim != 1:
             raise DataError("u and y must be one-dimensional sample arrays")
         if len(u) != len(y):
@@ -230,7 +230,7 @@ def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
         raise InsufficientDataError(
             f"record of length {L} cannot support maximum lag {offset}"
         )
-    target = data.y[offset:].copy()
+    target = data.y[offset:]
     if float(target @ target) == 0.0:
         raise DataError(
             f"output has zero energy on the fitted rows (samples {offset}..{L - 1}); "
@@ -243,9 +243,7 @@ def build_problem(data: IoData, dictionary: Dictionary) -> RegressionProblem:
             "estimates may be ill-determined",
             stacklevel=2,
         )
-    phi.setflags(write=False)
-    target.setflags(write=False)
-    problem = RegressionProblem(phi, target, dictionary, offset)
+    problem = RegressionProblem(_read_only(phi), target, dictionary, offset)
     object.__setattr__(data, "_problem", problem)
     return problem
 

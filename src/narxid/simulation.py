@@ -130,16 +130,6 @@ def _constant_tail_start(u: np.ndarray) -> int:
     return int(changes[-1]) + 1 if changes.size else 0
 
 
-def _is_fixed_point(y: list, n: int) -> bool:
-    """True when the last ``n + 1`` values of ``y`` are one float, bit for bit."""
-    window = y[-n - 1:]
-    v = window[-1]
-    if any(x != v for x in window):
-        return False
-    # 0.0 == -0.0, but the sign of a zero can reach later samples
-    return v != 0.0 or all(math.copysign(1.0, x) == math.copysign(1.0, v) for x in window)
-
-
 # Most compiled free-run bodies kept at once; each is keyed by a model's
 # ordered term tuple.
 _BODY_CACHE_SIZE = 1024
@@ -148,15 +138,18 @@ _BODY_CACHE_SIZE = 1024
 def _recursion_source(terms: tuple[Term, ...]) -> str:
     """Source of the straight-line free-run loop for ``terms``, in order.
 
-    ``run(us, y, start, settle, b, c0, c1, ...)`` appends each computed
-    output to ``y`` and returns the fill value of the rest of the record
-    (NaN unless it reached a fixed point).  The text holds only integer
-    lags and exponents and fixed names; the bias ``b`` and the
-    coefficients ``c0 ...`` are arguments.  Output lags live in the locals
-    ``y1 ... yn`` (``y1`` is ``y(t-1)``), shifted each step; input lags are
-    read as ``us[t - k]``.  Terms are summed in order onto the bias, each
-    the left-to-right product of its factors, so every operation is the one
-    the term-by-term loop ran.
+    ``run(us, y, settle, b, c0, c1, ...)`` appends each computed output to
+    the history ``y``, from ``t = len(y)`` on, and returns the fill value
+    of the rest of the record (NaN unless it reached a fixed point).  The
+    text holds only integer lags and exponents and fixed names; the bias
+    ``b`` and the coefficients ``c0 ...`` are arguments.  Output lags live
+    in the locals ``y1 ... yn`` (``y1`` is ``y(t-1)``), shifted each step;
+    input lags are read as ``us[t - k]``.  Terms are summed in order onto
+    the bias, each the left-to-right product of its factors, so every
+    operation is the one the term-by-term loop ran.  From ``settle`` on,
+    every input read lies in the constant tail, so the run exits once ``v``
+    equals ``y1 ... yn`` bit for bit (0.0 == -0.0, so zeros also compare
+    signs); with no output lag the inputs alone fix ``v``.
     """
     n_init = max((t.max_output_lag for t in terms), default=0)
     lags = range(1, n_init + 1)
@@ -168,17 +161,19 @@ def _recursion_source(terms: tuple[Term, ...]) -> str:
             reads.append(f"{x}**{f.exponent}" if f.exponent > 1 else x)
         products.append(" * ".join(reads))
     value = "".join(f" + c{i} * ({p})" for i, p in enumerate(products))
-    previous = "y1" if n_init else "y[t - 1]"
+    window = ["v", *(f"y{k}" for k in lags)]
+    signs = " == ".join(f"math.copysign(1, {x})" for x in window)
+    fixed = f" and {' == '.join(window)} and (v != 0 or {signs})" if n_init else ""
     coefficients = "".join(f", c{i}" for i in range(len(terms)))
     return "\n".join([
-        f"def run(us, y, start, settle, b{coefficients}):",
-        *(f"    y{k} = y[start - {k}]" for k in lags),
-        "    for t in range(start, len(us)):",
+        f"def run(us, y, settle, b{coefficients}):",
+        *(f"    y{k} = y[-{k}]" for k in lags),
+        "    for t in range(len(y), len(us)):",
         f"        v = b{value}",
         "        if not -DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT:",
         "            break",
         "        y.append(v)",
-        f"        if t >= settle and v == {previous} and _is_fixed_point(y, {n_init}):",
+        f"        if t >= settle{fixed}:",
         "            return v",
         *(f"        y{k} = y{k - 1}" for k in reversed(lags[1:])),
         *(["        y1 = v"] if n_init else []),
@@ -228,7 +223,7 @@ def simulate_free_run(model: Model, u, y_init=()) -> FreeRunResult:
     settle = max(start, _constant_tail_start(u) + n_in)  # inputs all in the tail
     run = _compiled_recursion(model.terms)
     try:
-        fill = run(us, y, start, settle, float(model.bias), *model.coefficients)
+        fill = run(us, y, settle, float(model.bias), *model.coefficients)
     except OverflowError:
         fill = math.nan  # float ** overflowed: that sample is infinite, a divergence
     out = np.full(len(us), fill)

@@ -451,6 +451,23 @@ class TestByteOrderMark:
         path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_config_file(path) == parse_config_file(plain)
 
+    def test_model_file(self, tmp_path, bench_csv):
+        cfg = write_config(tmp_path, bench_csv)
+        assert main(["identify", "--config", str(cfg)]) == 0
+        plain = tmp_path / "out" / "model.json"
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, model in (("plain", plain), ("marked", marked)):
+            common = ["--model", str(model), "--data", str(bench_csv), "--out"]
+            assert main(["simulate", *common, str(tmp_path / f"{name}.csv")]) == 0
+            assert main(["validate", *common, str(tmp_path / f"{name}-val")]) == 0
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        written = sorted(p.name for p in (tmp_path / "plain-val").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "marked-val").iterdir())
+        for name in written:
+            marked_bytes = (tmp_path / "marked-val" / name).read_bytes()
+            assert marked_bytes == (tmp_path / "plain-val" / name).read_bytes()
+
 
 class TestSimulateAndValidate:
     @pytest.fixture()

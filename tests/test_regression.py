@@ -131,6 +131,27 @@ class TestIoData:
         with pytest.raises(DataError):
             data.slice(2, 9)
 
+    def test_keeps_read_only_copies(self):
+        rng = np.random.default_rng(34)
+        u, y = rng.normal(size=200), rng.normal(size=200)
+        d = build_linear_dictionary(LagSpec(2, 2))
+        data = IoData(u, y)
+        problem = build_problem(data, d)
+        u0, y0, fingerprint = u.copy(), y.copy(), data.fingerprint
+        phi, target = problem.phi.copy(), problem.target.copy()
+        u[3] = y[10] = 99.0
+        assert_array_equal(data.u, u0)
+        assert_array_equal(data.y, y0)
+        assert data.fingerprint == fingerprint == IoData(u0, y0).fingerprint
+        assert build_problem(data, d) is problem
+        assert_array_equal(problem.phi, phi)
+        assert_array_equal(problem.target, target)
+        with pytest.raises(ValueError):
+            data.y[0] = 1.0
+        part = data.slice(5, 50)
+        assert_array_equal(part.y, y0[5:50])
+        assert not part.y.flags.writeable
+
     @pytest.mark.parametrize(
         "data",
         [

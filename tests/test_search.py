@@ -41,7 +41,7 @@ from narxid import (
     simulate_free_run,
     stability_probe,
 )
-from narxid.errors import ConfigError, DivergenceError
+from narxid.errors import ConfigError, DivergenceError, SingularityError
 from narxid.ofr import default_max_terms
 from narxid.regression import noise_floor
 from narxid.search import (
@@ -284,6 +284,32 @@ class TestExactFitPruning:
         true_terms, _ = dc_motor_terms()
         assert pruned(result.best)
         assert sorted(map(str, result.model.terms)) == sorted(map(str, true_terms))
+
+    def test_singular_subset_is_kept_out_of_the_check(self, monkeypatch):
+        # a rest whose least-squares fit is singular cannot show the dropped
+        # term redundant: the term stays, and the search goes on
+        square = full_dictionary().index(parse_term("y(t-1)^2"))
+        without_square, seen, checked = [], [], []
+        check = _exact_fit_columns
+
+        def recording_check(problem, path):
+            assert square in path.term_indices
+            without_square.append(sorted(set(path.term_indices) - {square}))
+            checked.append(check(problem, path))
+            return checked[-1]
+
+        def singular_without_square(problem, selected):
+            seen.append(sorted(selected))
+            if seen[-1] == without_square[-1]:
+                raise SingularityError("stub: singular subset")
+            return least_squares(problem, selected)
+
+        monkeypatch.setattr(narxid.search, "_exact_fit_columns", recording_check)
+        monkeypatch.setattr(narxid.search, "least_squares", singular_without_square)
+        result = run_case("multitone-pruned", iterative_ofr)
+        assert without_square and all(s in seen for s in without_square)
+        assert all(columns is None or square in columns for columns in checked)
+        assert parse_term("y(t-1)^2") in result.model.terms
 
     def test_one_term_winner_is_kept(self):
         # y(t) = u(t-1): an ERR path seeded by u(t-1) fits exactly in one

@@ -233,12 +233,28 @@ def signed_zero_case():
     return Model((parse_term("y(t-1)"),), (-1.0,), bias=-0.0), np.zeros(50), np.array([0.0])
 
 
+def lag_two_signed_zero_case():
+    # with bias -0.0, y(t) = -y(t-2) runs the signs + - - + + - - ...: each
+    # window of three is equal in value, never in sign
+    model = Model((parse_term("y(t-2)"),), (-1.0,), bias=-0.0)
+    return model, np.zeros(50), np.array([0.0, -0.0])
+
+
+def input_square_case(tail):
+    # no output lag: u(t-1)^2 with the input constant from sample 30
+    u = np.random.default_rng(5).normal(size=50)
+    u[30:] = tail
+    return Model((parse_term("u(t-1)^2"),), (1.0,)), u, np.zeros(0)
+
+
 class TestFreeRunMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(case=free_run_cases())
     @example(case=input_only_case())
     @example(case=long_input_lag_case())
     @example(case=signed_zero_case())
+    @example(case=lag_two_signed_zero_case())
+    @example(case=input_square_case(1e7))
     def test_drawn_models_bit_for_bit(self, case):
         assert_matches_reference(*case)
 
@@ -290,6 +306,20 @@ class TestFreeRunMatchesReference:
     def test_signed_zero_cycle_is_not_a_fixed_point(self):
         run = assert_matches_reference(*signed_zero_case())
         assert np.signbit(run.output[1]) and not np.signbit(run.output[2])
+
+    def test_lag_two_signed_zero_window_is_not_a_fixed_point(self):
+        # every window is equal in value; an exit that skipped the sign of
+        # y(t-2) would stop at t = 2
+        run = assert_matches_reference(*lag_two_signed_zero_case())
+        assert np.signbit(run.output[:8]).tolist() == [False, True, True, False] * 2
+
+    def test_input_only_model_exits_at_settle(self):
+        # settle is 31: the first step whose input lies in the tail
+        run = assert_matches_reference(*input_square_case(1e7))
+        assert run.diverged_at == 31
+        run = assert_matches_reference(*input_square_case(3.0))
+        assert not run.diverged
+        assert run.output[31:].tolist() == [9.0] * 19
 
     def test_power_overflow_is_divergence(self):
         m = Model((parse_term("u(t-1)^2"),), (1.0,))
