@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -51,6 +52,17 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
     numbers of error messages, and a cell missing from a short row is blank.
     Once every cell has parsed, the first ``nan`` or infinite one is an error.
     A UTF-8 byte-order mark before the header is skipped.
+
+    The header is read with :mod:`csv` and the body of a well-formed file
+    with numpy's C text reader (``np.loadtxt``, numpy 1.23 or later), which
+    splits fields as :mod:`csv` does and parses each cell with
+    ``PyOS_string_to_double``, the routine ``float()`` uses, so the doubles
+    are the same bits.  When that reader refuses the file (a blank, short,
+    ``#`` or non-numeric row, or a cell only ``float()`` reads, such as
+    ``1_000`` or non-ASCII digits), the body is read again from its first
+    row, cell by cell with ``float()``: that loop keeps ``float()``'s wider
+    syntax and names the first bad cell and its row.  It also reads a file
+    that cannot be read twice, such as a pipe.
     """
     path = Path(path)
     try:
@@ -63,35 +75,55 @@ def ingest_csv(path, u_column: str = "u", y_column: str = "y") -> IoData:
             if missing:
                 raise DataError(f"{path}: missing column(s) {sorted(missing)}")
             index = {name: j for j, name in enumerate(header)}
-            u_vals, y_vals = [], []
-            columns = (
-                (u_column, index[u_column], u_vals), (y_column, index[y_column], y_vals)
-            )
-            rows = (row for row in reader if row)
-            for i, row in enumerate(rows, start=2):  # 1-based incl. header
-                for col, j, dest in columns:
-                    cell = row[j] if j < len(row) else ""
-                    try:
-                        dest.append(float(cell))
-                    except ValueError:
-                        if not cell.strip():
-                            raise DataError(
-                                f"{path}: blank {col!r} cell at row {i}"
-                            ) from None
-                        raise DataError(
-                            f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
-                        ) from None
+            columns = ((u_column, index[u_column]), (y_column, index[y_column]))
+            u = None
+            if fh.seekable():  # a pipe cannot be read again: the loop reads it
+                try:
+                    # the reader goes on from the line after the header,
+                    # however many physical lines its quoted cells took
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings(
+                            "ignore", "loadtxt: input contained no data", UserWarning
+                        )
+                        u, y = np.loadtxt(
+                            fh, delimiter=",", comments=None, quotechar='"',
+                            usecols=[j for _, j in columns], ndmin=2, dtype=np.float64,
+                        ).T
+                except ValueError:  # UnicodeDecodeError too: the loop meets it again
+                    fh.seek(0)
+                    reader = csv.reader(fh)
+                    next(reader)
+            if u is None:
+                u, y = _read_rows(path, reader, columns)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not u_vals:
+    if not len(u):
         raise DataError(f"{path}: no data rows")
-    u, y = np.array(u_vals), np.array(y_vals)
     finite = np.isfinite(u) & np.isfinite(y)
     if not finite.all():
         k = int(np.argmin(finite))
         col, x = (u_column, u[k]) if not np.isfinite(u[k]) else (y_column, y[k])
         raise DataError(f"{path}: non-finite {col!r} cell at row {k + 2}: {float(x)}")
     return IoData(u, y)
+
+
+def _read_rows(path: Path, reader, columns) -> tuple[np.ndarray, np.ndarray]:
+    """The ``u`` and ``y`` cells of ``reader``'s rows, each read by ``float()``;
+    the first one it refuses is a :class:`DataError` naming its row."""
+    values = ([], [])
+    rows = (row for row in reader if row)
+    for i, row in enumerate(rows, start=2):  # 1-based incl. header
+        for (col, j), dest in zip(columns, values):
+            cell = row[j] if j < len(row) else ""
+            try:
+                dest.append(float(cell))
+            except ValueError:
+                if not cell.strip():
+                    raise DataError(f"{path}: blank {col!r} cell at row {i}") from None
+                raise DataError(
+                    f"{path}: non-numeric {col!r} cell at row {i}: {cell!r}"
+                ) from None
+    return np.array(values[0]), np.array(values[1])
 
 
 def write_csv(path, header, index, columns) -> None:

@@ -4,12 +4,17 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import narxid.dataio
 from narxid import (
     ConfigError,
     Criterion,
@@ -53,7 +58,7 @@ def reference_ingest_csv(path, u_column="u", y_column="y"):
     """The plain ``csv.DictReader`` loop: ``ingest_csv`` must read the same
     arrays and raise the same messages."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
@@ -90,6 +95,55 @@ def edge_record(rng, n):
     picks = rng.random(n) < 0.3
     x[picks] = rng.choice(specials, size=int(picks.sum()))
     return x
+
+
+def read_outcome(read, path, *columns):
+    """What ``read`` makes of ``path``: its arrays, by their bits, or its error."""
+    try:
+        data = read(path, *columns)
+    except (DataError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return data.u.view(np.int64).tolist(), data.y.view(np.int64).tolist()
+
+
+def good_rows(n):
+    """``n`` well-formed ``t,u,y`` rows, without line ends."""
+    return [f"{i},{i / 7!r},{-i / 3!r}" for i in range(n)]
+
+
+# cells numpy's C reader and float() read alike, cells only float() reads,
+# cells neither reads, and cells csv and numpy could split differently
+_CELLS = [
+    "0.5", "-0", "5e-324", "-2.5e-310", "1e300", "0.1", "123456789", "+.5",
+    "1E3", " 2.5 ", "\t1\t", "\xa03\u2028", "nan", "-inf", "Infinity", "1e999",
+    '"0.5"', '" 0.25 "', '"0.5\n"', '"0.5\r\n"', '"1""5"', '"2"5', '2""',
+    '"1,5"', "", " ", '""', "1_000", "\uff11", "\u0661", "abc", "0x10",
+    "0.5\x00", "\x001", "# 1",
+]
+_LINES = ["", " ", "\t", "# note", "1,0.5", "1", ",", '""', "1,0.5,1.0,7"]
+
+
+@st.composite
+def csv_files(draw):
+    """A headed ``u``/``y`` CSV text built from the pieces above: header
+    forms, line ends, data rows of drawn cells and odd lines, sometimes
+    after a long run of good rows."""
+    header = draw(st.sampled_from(
+        ["t,u,y", '"t","u","y"', '"t\nx",u,y', "\ufefft,u,y", "t,u,y,u"]
+    ))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = good_rows(draw(st.sampled_from([0, 0, 3000])))
+    lines += draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_CELLS), st.sampled_from(_CELLS)).map(
+                lambda cells: "7," + ",".join(cells)
+            ),
+            st.sampled_from(_LINES),
+        ),
+        max_size=6,
+    ))
+    end = draw(st.sampled_from([eol, ""]))
+    return header + eol + eol.join(lines) + (end if lines else eol)
 
 
 class TestIngestCsv:
@@ -152,19 +206,107 @@ class TestIngestCsv:
         "t,u,y\n",  # header only
         "t,u,y\n\n\n",
         "t,input,y\n1,0.5,1.0\n",
+        # numpy's C reader refuses these files, or it and csv could split
+        # them differently
+        "t,u,y\n1,0.5,1.0\n# note\n2,0.25,2.0\n",
+        "t,u,y\n1,0.5,1.0\n  \n2,0.25,2.0\n",  # whitespace-only lines
+        "t,u,y\n1,0.5,1.0\n\t\n",
+        "t,u,y\r1,0.5,1.0\r2,0.25,2.0\r",
+        "t,u,y\r1,0.5,1.0\r\r2,abc,2.0\r",
+        't,u,y\n1,"0.5\n",1.0\n2,0.25,2.0\n',  # quoted embedded newlines
+        't,u,y\n1,"0.\n5",1.0\n',
+        't,u,y\n1,"0.5,1.0\n2,0.25,2.0\n',
+        '"t\nx",u,y\n1,0.5,1.0\n2,0.25,2.0\n',
+        't,"u\r\n",y\r\n1,0.5,1.0\r\n',
+        't,u,y\n1,"2"5,3\n2,2"",3\n',
+        ("t,u,y\n1,0.5,1.0\n2,0.25,2.0\n", "u", "u"),  # u_column == y_column
+        ("t,u,y\n1,0.5,1.0\n2,x,2.0\n", "y", "y"),
+        "t,u,y\n1,0.5\x00,1.0\n",  # a NUL byte
+        "t,u,y\n1,\uff11,\u0661\n",  # full-width and Arabic-Indic digits
+        "t,u,y\n1,\xa00.5\u2028,1e999\n",  # Unicode spaces; overflow to inf
+        "\ufefft,u,y\n1,0.5,1.0\n",  # byte-order marks
+        "\ufefft,u,y\n1,0.5,1.0\n# note\n",
+        "\ufeffu,y\r\n1,1_000\r\n2,-0\r\n",
+        "t,u,y\r\n\r\n\r\n",  # a header followed only by blank lines
+        "t,u,y\r\r\r",
+        "t,u,y",
+        pytest.param(
+            "\n".join(["t,u,y", *good_rows(5000), "5001,2,abc\n"]),
+            id="5000-rows-last-non-numeric",
+        ),
+        pytest.param(
+            "\n".join(["t,u,y", *good_rows(5000), "5001,1_000,\uff12\n"]),
+            id="5000-rows-last-read-by-float",
+        ),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_matches_dictreader_reference(self, tmp_path, text):
+        # a tuple is a file and the u and y column names it is read with
+        text, *columns = (text,) if isinstance(text, str) else text
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())
+        assert read_outcome(ingest_csv, p, *columns) == read_outcome(
+            reference_ingest_csv, p, *columns
+        )
 
-        def outcome(read):
+    # each example writes over the one file in tmp_path
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=csv_files())
+    @pytest.mark.filterwarnings("error")
+    def test_random_files_match_dictreader_reference(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        assert read_outcome(ingest_csv, p) == read_outcome(reference_ingest_csv, p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("text", [
+        "t,u,y\n1,0.5,1.0\n2,1_000,2.0\n",
+        "t,u,y\n1,0.5,1.0\n# note\n",
+    ])
+    def test_pipe_is_read_once(self, tmp_path, text):
+        # a pipe cannot be read again after numpy's reader refuses it
+        fifo = tmp_path / "d.csv"
+        os.mkfifo(fifo)
+
+        def through_pipe(read):
+            writer = threading.Thread(
+                target=fifo.write_bytes, args=(text.encode(),), daemon=True
+            )
+            writer.start()
             try:
-                data = read(p)
-            except DataError as exc:
-                return str(exc)
-            return data.u.view(np.int64).tolist(), data.y.view(np.int64).tolist()
+                return read_outcome(read, fifo)
+            finally:
+                writer.join(timeout=10)
+                assert not writer.is_alive()
 
-        assert outcome(ingest_csv) == outcome(reference_ingest_csv)
+        assert through_pipe(ingest_csv) == through_pipe(reference_ingest_csv)
+
+    def test_well_formed_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(36)
+        # edge_record's values, the non-finite ones left out
+        u, y = (x[np.isfinite(x)][:1000] for x in (edge_record(rng, 2000) for _ in "uy"))
+        p = tmp_path / "d.csv"
+        write_timeseries_csv(p, u, y)
+        calls = []
+
+        def spy(cell):
+            calls.append(cell)
+            return float(cell)
+
+        monkeypatch.setattr(narxid.dataio, "float", spy, raising=False)
+        data = ingest_csv(p)
+        assert calls == []
+        assert_array_equal(data.u.view(np.int64), u.view(np.int64))
+        assert_array_equal(data.y.view(np.int64), y.view(np.int64))
+        # the spy does see the loop, on a file the C reader refuses
+        with p.open("a", newline="") as fh:
+            fh.write("# note\r\n")
+        with pytest.raises(DataError, match="blank 'u' cell at row 1002"):
+            ingest_csv(p)
+        assert len(calls) == 2001  # every cell, then the note's blank u cell
 
     def test_round_trip_with_generator(self, tmp_path):
         u = np.random.default_rng(3).normal(size=200)
